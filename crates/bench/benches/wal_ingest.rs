@@ -1,8 +1,8 @@
-//! WAL cost of the ingest path: bulk load with write-ahead logging and
-//! a commit, the `ArrayUpdate`-style blob-range patch, and recovery
-//! replay from a crashed disk image. Complements the `wal` line in
-//! `table1_report`, which reports logged bytes against page bytes for
-//! the full Table 1 load.
+//! WAL cost of the ingest path: a minimally logged bulk load (fresh pages
+//! forced, one `Bulk` record per range) and its commit, the
+//! `ArrayUpdate`-style blob-range patch, and recovery replay from a
+//! crashed disk image. Complements the `wal` line in `table1_report`,
+//! which reports logged and forced bytes for the full Table 1 load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqlarray_storage::{ColType, PageStore, RowValue, Schema, Table};

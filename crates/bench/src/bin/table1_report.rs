@@ -55,13 +55,15 @@ fn main() {
         serial_ingest.wall_seconds / par_ingest.wall_seconds.max(1e-9),
         par_ingest.io.pages_written,
     );
-    let page_mb = (par_ingest.io.pages_written * 8192) as f64 / 1e6;
-    let wal_mb = par_ingest.io.wal_bytes as f64 / 1e6;
+    let io = &par_ingest.io;
     println!(
-        "wal: {wal_mb:.1} MB logged across {} records for {page_mb:.1} MB of page writes \
-         ({:.1} % byte overhead over an unlogged ingest; a checkpoint bounds the log)",
-        par_ingest.io.wal_records,
-        wal_mb / page_mb.max(1e-9) * 100.0,
+        "wal: {:.3} MB logged across {} records, {:.1} MB forced in place ({} pages) \
+         of {:.1} MB of page writes",
+        io.wal_bytes as f64 / 1e6,
+        io.wal_records,
+        io.forced_bytes() as f64 / 1e6,
+        io.forced_pages,
+        io.bytes_written() as f64 / 1e6,
     );
     println!();
 

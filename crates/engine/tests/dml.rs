@@ -250,7 +250,7 @@ fn dml_crash_recovery_through_sql() {
 
     // Crash with only part of the UPDATE's log durable.
     s.db_mut().store.arm_fail(FailPlan {
-        allow_records: 3,
+        allow_writes: 3,
         torn_bytes: 0,
     });
     s.execute("UPDATE T SET tag = tag + 500 WHERE id < 10")

@@ -16,7 +16,7 @@
 
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedPage, SlottedRead, PAGE_SIZE};
-use crate::store::PageStore;
+use crate::store::{PageImage, PageStore};
 
 /// Largest payload storable in a leaf record (key bytes deducted). Rows
 /// beyond this move their blobs out of page — see `sqlarray-storage::row`.
@@ -598,18 +598,24 @@ impl BTree {
     /// Page breaks are computed with the same greedy fill rule the
     /// append-optimized insert path converges to, so a bulk-built tree
     /// packs its leaves like a monotone `IDENTITY` load. Leaf page
-    /// *images* are then built on up to `dop` worker threads (contiguous
-    /// leaf ranges, pure CPU — no store access), appended to the store in
-    /// page order, and the internal levels are assembled on top. Because
-    /// the images and the append order are fully determined by the
-    /// entries, the resulting file layout, page bytes, pool state and
-    /// [`crate::IoStats`] are **identical at every `dop`**.
+    /// *images* are then built and checksummed on up to `dop` worker
+    /// threads (contiguous leaf ranges, pure CPU — no store access),
+    /// appended to the store in page order, and the internal levels are
+    /// assembled on top. Because the images and the append order are
+    /// fully determined by the entries, the resulting file layout, page
+    /// bytes, pool state, WAL and forced extent, and [`crate::IoStats`]
+    /// are **identical at every `dop`**.
+    ///
+    /// Every fresh page — leaves and internal levels — goes through
+    /// [`PageStore::append_forced`]: forced once, logged as one `Bulk`
+    /// record per batch or level instead of a full page image each.
     ///
     /// `recycle_first_leaf` lets the caller donate an existing page to
     /// serve as the first leaf instead of allocating a fresh one —
     /// `Table::bulk_load` passes the empty table's root leaf so no page is
     /// orphaned; leaves 1.. are still appended contiguously at the end of
-    /// the file.
+    /// the file. The recycled page may come from anywhere in the file, so
+    /// its write keeps physiological logging.
     pub fn bulk_build(
         store: &mut PageStore,
         entries: &[(i64, Vec<u8>)],
@@ -679,7 +685,7 @@ impl BTree {
             }
         };
         let first_leaf = leaf_page(0);
-        let build_leaf = |leaf_idx: usize| -> Box<[u8]> {
+        let build_leaf = |leaf_idx: usize| -> PageImage {
             let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
             let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
             for (key, payload) in &entries[leaf_ranges[leaf_idx].clone()] {
@@ -688,11 +694,11 @@ impl BTree {
             if leaf_idx + 1 < n_leaves {
                 p.set_next_page(Some(leaf_page(leaf_idx + 1)));
             }
-            bytes
+            PageImage::seal(bytes)
         };
         for batch_start in (0..n_leaves).step_by(BULK_BUILD_BATCH_LEAVES) {
             let batch_len = BULK_BUILD_BATCH_LEAVES.min(n_leaves - batch_start);
-            let images: Vec<Box<[u8]>> =
+            let mut images: Vec<PageImage> =
                 sqlarray_core::parallel::scoped_map_ranges(batch_len, dop.max(1), |r| {
                     (batch_start + r.start..batch_start + r.end)
                         .map(&build_leaf)
@@ -701,22 +707,19 @@ impl BTree {
                 .into_iter()
                 .flatten()
                 .collect();
-            // Append (counts one write per page, all pool-resident like
-            // any freshly produced page).
-            for (offset, image) in images.into_iter().enumerate() {
-                // lint:allow(L003, reason = "offset is an enumerate index over one in-memory leaf batch, bounded far below usize::MAX by the batch allocation itself")
-                let leaf_idx = batch_start + offset;
-                let id = match recycle_first_leaf {
-                    Some(r) if leaf_idx == 0 => r,
-                    _ => store.allocate(),
-                };
-                assert_eq!(id, leaf_page(leaf_idx));
-                store.write(id, |bytes| bytes.copy_from_slice(&image))?;
+            let mut first_idx = batch_start;
+            if let (Some(r), 0) = (recycle_first_leaf, batch_start) {
+                let image = images.remove(0);
+                store.write(r, |bytes| bytes.copy_from_slice(image.bytes()))?;
+                first_idx = 1;
             }
+            let first = store.append_forced(images)?;
+            assert_eq!(first, leaf_page(first_idx));
         }
 
-        // Assemble the internal levels bottom-up. Each internal record
-        // costs 16 + 4 slot bytes; the leftmost child rides in the link.
+        // Assemble the internal levels bottom-up, one forced append per
+        // level. Each internal record costs 16 + 4 slot bytes; the
+        // leftmost child rides in the link.
         let children_per_internal = 1 + budget / (16 + crate::page::SLOT_LEN);
         let mut level: Vec<(i64, PageId)> = leaf_ranges
             .iter()
@@ -725,19 +728,25 @@ impl BTree {
             .collect();
         let mut depth = 1u32;
         while level.len() > 1 {
-            let mut next_level = Vec::with_capacity(level.len() / children_per_internal + 1);
-            for run in level.chunks(children_per_internal) {
-                let id = store.allocate();
-                store.write(id, |bytes| {
-                    let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
+            let runs: Vec<&[(i64, PageId)]> = level.chunks(children_per_internal).collect();
+            let images = runs
+                .iter()
+                .map(|run| {
+                    let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
+                    let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_INTERNAL);
                     p.set_next_page(Some(run[0].1)); // leftmost child
                     for &(key, child) in &run[1..] {
                         push_sized(&mut p, &encode_internal(key, child));
                     }
-                })?;
-                next_level.push((run[0].0, id));
-            }
-            level = next_level;
+                    PageImage::seal(bytes)
+                })
+                .collect();
+            let first = store.append_forced(images)?;
+            level = runs
+                .iter()
+                .zip(first..)
+                .map(|(run, id)| (run[0].0, id))
+                .collect();
             depth += 1;
         }
         Ok(BTree {

@@ -4,23 +4,27 @@
 //! lifecycle the crash-matrix suites drive:
 //!
 //! 1. **Arm** a [`FailPlan`] — the store accepts exactly N more durable
-//!    WAL appends, then silently "loses power" (later appends are
-//!    dropped, the first dropped record can leave a torn prefix). The
-//!    in-process state keeps mutating, so the victim operation succeeds
-//!    from the caller's point of view — exactly like an OS that buffered
-//!    the writes the platter never saw.
+//!    writes (WAL appends and forced bulk pages, in the order they
+//!    happen), then silently "loses power" (later writes are dropped, the
+//!    first dropped one can leave a torn prefix). The in-process state keeps mutating,
+//!    so the victim operation succeeds from the caller's point of view —
+//!    exactly like an OS that buffered the writes the platter never saw.
 //! 2. **Crash** — take the [`DiskImage`] that survived: checkpoint base
-//!    pages + the cut log.
+//!    pages + the forced extent + the cut log.
 //! 3. Optionally **corrupt** the image like failing media would:
 //!    [`tear_final_page`] (a partial sector write), [`corrupt_image_byte`]
-//!    (a silent bit flip), [`tear_wal`] (an arbitrary mid-record cut).
+//!    (a silent bit flip), [`tear_forced_page`] / [`corrupt_forced_byte`]
+//!    (the same two faults on a forced bulk page), [`tear_wal`] (an
+//!    arbitrary mid-record cut).
 //! 4. **Reboot** via [`PageStore::open`] and assert the recovered state
 //!    is byte-for-byte the last committed snapshot.
 //!
-//! Injection points are enumerated from a clean run: every WAL append is
-//! counted in [`crate::stats::IoStats::wal_records`] whether or not it
-//! reaches the durable log, so `stats().wal_records` after an unfailed
-//! victim run is the exact number of distinct crash points to test.
+//! Injection points are enumerated from a clean run: every durable write
+//! is counted whether or not it reaches the disk — WAL appends in
+//! [`crate::stats::IoStats::wal_records`], forced pages in
+//! [`crate::stats::IoStats::forced_pages`] — so the
+//! [`crate::stats::IoStats::durable_writes`] delta of an unfailed victim
+//! run is the exact number of distinct crash points to test.
 
 use crate::errors::Result;
 use crate::page::PageId;
@@ -40,12 +44,12 @@ impl FailStore {
         FailStore { store }
     }
 
-    /// Arms the crash: `allow` more WAL appends reach the disk, then
-    /// power is lost; the first dropped record leaves `torn_bytes` bytes
-    /// of torn prefix (0 = clean cut).
+    /// Arms the crash: `allow` more durable writes (WAL appends and
+    /// forced pages) reach the disk, then power is lost; the first dropped
+    /// write leaves `torn_bytes` bytes of torn prefix (0 = clean cut).
     pub fn kill_at_write(&mut self, allow: u64, torn_bytes: usize) {
         self.store.arm_fail(FailPlan {
-            allow_records: allow,
+            allow_writes: allow,
             torn_bytes,
         });
     }
@@ -100,6 +104,29 @@ pub fn tear_final_page(image: &mut DiskImage, keep: usize) {
 /// media corruption recovery must detect.
 pub fn corrupt_image_byte(image: &mut DiskImage, page: PageId, off: usize) {
     image.pages[page as usize][off] ^= 0x01;
+}
+
+/// Truncates forced page `idx` (its position in the forced extent) to
+/// `keep` bytes — a torn write of a bulk page. Recovery refuses the image
+/// with [`crate::errors::StorageError::PageCorrupt`] only if a committed
+/// `Bulk` record names the page.
+pub fn tear_forced_page(image: &mut DiskImage, idx: usize, keep: usize) {
+    if let Some((_, img)) = image.forced.get_mut(idx) {
+        let bytes = img.bytes_mut();
+        let keep = keep.min(bytes.len().saturating_sub(1));
+        *bytes = bytes[..keep].into();
+    }
+}
+
+/// Flips one bit of forced page `idx` without fixing its checksum.
+pub fn corrupt_forced_byte(image: &mut DiskImage, idx: usize, off: usize) {
+    if let Some(b) = image
+        .forced
+        .get_mut(idx)
+        .and_then(|(_, img)| img.bytes_mut().get_mut(off))
+    {
+        *b ^= 0x01;
+    }
 }
 
 /// Cuts the image's log to its first `keep` bytes — an arbitrary

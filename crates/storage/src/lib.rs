@@ -9,8 +9,11 @@
 //!   by deterministic logical stamps ([`pool`]) — with complete I/O
 //!   accounting, including a sequential/random classification and a
 //!   simulated disk cost model ([`store`], [`stats`]);
-//! * clustered B+trees with append-optimized splits and a parallel
-//!   bulk-build path ([`btree`]);
+//! * clustered B+trees with append-optimized splits and a parallel,
+//!   minimally logged bulk-build path ([`btree`]);
+//! * a checksummed write-ahead log with crash recovery to the last commit
+//!   ([`wal`], [`store::PageStore::open`]) and a deterministic crash
+//!   harness ([`fail`]);
 //! * in-row vs out-of-page blob storage with a streamed, partial-read LOB
 //!   interface that plugs straight into `sqlarray_core::stream` ([`blob`]),
 //!   including a vectored run reader ([`blob::read_blob_runs`]) generic
@@ -48,7 +51,7 @@ pub use pool::ShardedLruPool;
 pub use row::{ColType, Column, RowValue, Schema, INLINE_BLOB_LIMIT};
 pub use stats::{DiskProfile, IoStats};
 pub use store::{
-    DiskImage, FailPlan, PageRead, PageStore, PartitionReader, Recovery, ScanCtx, ScanIo,
-    MAX_READ_RETRIES,
+    DiskImage, FailPlan, PageImage, PageRead, PageStore, PartitionReader, Recovery, ScanCtx,
+    ScanIo, MAX_READ_RETRIES,
 };
 pub use table::{BatchScanOpts, ScanPartition, Table};

@@ -25,6 +25,9 @@ pub struct IoStats {
     pub wal_records: u64,
     /// Write-ahead log bytes appended (record framing included).
     pub wal_bytes: u64,
+    /// Pages forced to the image's forced extent by minimally logged bulk
+    /// appends (each also counts in `pages_written`).
+    pub forced_pages: u64,
     /// Transient read faults absorbed by the bounded retry path in the
     /// pool reader (each count is one retried physical-read attempt).
     pub transient_retries: u64,
@@ -39,6 +42,19 @@ impl IoStats {
     /// Bytes written to disk.
     pub fn bytes_written(&self) -> u64 {
         self.pages_written * crate::page::PAGE_SIZE as u64
+    }
+
+    /// Bytes forced by minimally logged bulk appends.
+    pub fn forced_bytes(&self) -> u64 {
+        self.forced_pages * crate::page::PAGE_SIZE as u64
+    }
+
+    /// Durable writes attempted: WAL appends plus forced pages. Each is
+    /// one crash-injection point of a [`crate::store::FailPlan`], so a
+    /// clean run's delta is the exact number of cuts a crash harness
+    /// must test.
+    pub fn durable_writes(&self) -> u64 {
+        self.wal_records + self.forced_pages
     }
 
     /// Total logical reads (cache hits + physical reads).
@@ -67,6 +83,7 @@ impl IoStats {
         self.pages_written += other.pages_written;
         self.wal_records += other.wal_records;
         self.wal_bytes += other.wal_bytes;
+        self.forced_pages += other.forced_pages;
         self.transient_retries += other.transient_retries;
     }
 
@@ -80,6 +97,7 @@ impl IoStats {
             pages_written: self.pages_written - before.pages_written,
             wal_records: self.wal_records - before.wal_records,
             wal_bytes: self.wal_bytes - before.wal_bytes,
+            forced_pages: self.forced_pages - before.forced_pages,
             transient_retries: self.transient_retries - before.transient_retries,
         }
     }

@@ -57,32 +57,90 @@ fn zero_page_sum() -> u32 {
 }
 
 /// A deterministic crash-injection plan: the store accepts exactly
-/// `allow_records` more durable WAL appends, then "loses power" — later
-/// appends are dropped, and the first dropped record can optionally leave
-/// a torn prefix of `torn_bytes` bytes (always strictly shorter than the
-/// frame, so it never verifies).
+/// `allow_writes` more durable writes — WAL appends and forced bulk pages,
+/// in the order they happen — then "loses power": later writes are
+/// dropped, and the first dropped one can optionally leave a torn prefix
+/// of `torn_bytes` bytes (always strictly shorter than the frame or page,
+/// so it never verifies).
 ///
 /// Arming a plan also disables auto-checkpointing, since a checkpoint is
 /// modeled as an atomic rewrite of the base image and would absorb the
 /// very log the harness wants to cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailPlan {
-    /// Number of WAL appends that still reach the durable log.
-    pub allow_records: u64,
-    /// Bytes of the first *dropped* record to keep as a torn tail
+    /// Number of durable writes (WAL appends + forced pages) that still
+    /// reach the disk.
+    pub allow_writes: u64,
+    /// Bytes of the first *dropped* write to keep as a torn tail
     /// (0 = clean cut at a record boundary).
     pub torn_bytes: usize,
+}
+
+/// How much of one durable write reaches the disk under the armed plan.
+enum Reach {
+    Whole,
+    /// A torn prefix of this many bytes.
+    Torn(usize),
+    Lost,
 }
 
 #[derive(Debug)]
 struct FailState {
     plan: FailPlan,
-    appended: u64,
+    /// Durable writes attempted since the plan was armed.
+    attempted: u64,
+}
+
+/// A finished page image and its checksum, ready for
+/// [`PageStore::append_forced`]. Sealing is pure CPU work, so bulk
+/// builders seal on their worker threads and the store's serial stage
+/// only moves the bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageImage {
+    bytes: Box<[u8]>,
+    sum: u32,
+}
+
+impl PageImage {
+    /// Checksums `bytes` (one page image) for forcing.
+    pub fn seal(bytes: Box<[u8]>) -> PageImage {
+        let sum = wal::checksum32(&bytes);
+        PageImage { bytes, sum }
+    }
+
+    /// The image bytes (shorter than a page only if the write was torn).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Fault injection: mutable access to the image bytes, without
+    /// restamping the checksum.
+    pub(crate) fn bytes_mut(&mut self) -> &mut Box<[u8]> {
+        &mut self.bytes
+    }
+
+    /// Recovery's check of a forced page against its stamped checksum.
+    fn verify(&self, page: PageId) -> Result<()> {
+        let computed = if self.bytes.len() == PAGE_SIZE {
+            wal::checksum32(&self.bytes)
+        } else {
+            0
+        };
+        if self.bytes.len() != PAGE_SIZE || computed != self.sum {
+            return Err(StorageError::PageCorrupt {
+                page,
+                stored: self.sum,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// The durable state of a store at a crash point: the last checkpoint's
-/// base image plus whatever log bytes survived. This is everything
-/// [`PageStore::open`] needs — and everything a crash can preserve.
+/// base image, the pages bulk appends forced since then, and whatever log
+/// bytes survived. This is everything [`PageStore::open`] needs — and
+/// everything a crash can preserve.
 ///
 /// The fields are public so fault-injection harnesses can corrupt the
 /// "disk" between crash and reboot (tear the final page, flip a byte)
@@ -95,6 +153,10 @@ pub struct DiskImage {
     pub sums: Vec<u32>,
     /// Free-list state at the last checkpoint (LIFO order).
     pub free: Vec<PageId>,
+    /// The forced extent: `(page id, image)` of every page a bulk append
+    /// forced since the checkpoint, in page order. Only the ranges a
+    /// committed [`WalRecord::Bulk`] names are ever installed.
+    pub forced: Vec<(PageId, PageImage)>,
     /// Write-ahead log bytes appended since the checkpoint (possibly torn).
     pub wal: Vec<u8>,
 }
@@ -126,6 +188,8 @@ pub struct PageStore {
     free: Vec<PageId>,
     /// Write-ahead log since the last checkpoint.
     wal_buf: Vec<u8>,
+    /// Forced extent since the last checkpoint (see [`DiskImage::forced`]).
+    forced: Vec<(PageId, PageImage)>,
     next_lsn: u64,
     /// Base image from the last checkpoint (empty = genesis: an empty
     /// file, with the whole history in `wal_buf`).
@@ -196,6 +260,7 @@ impl PageStore {
             sums: Vec::new(),
             free: Vec::new(),
             wal_buf: Vec::new(),
+            forced: Vec::new(),
             next_lsn: 1,
             base_pages: Vec::new(),
             base_sums: Vec::new(),
@@ -240,36 +305,95 @@ impl PageStore {
         pool_stamp(self.clock.fetch_add(1, Ordering::Relaxed), 0, 0)
     }
 
+    /// Attempts one durable write of `len` bytes against the armed
+    /// [`FailPlan`], if any: writes past the plan's allowance are lost,
+    /// and the first lost one optionally leaves a torn prefix — strictly
+    /// shorter than `len`, so it can never verify as complete.
+    fn reach(&mut self, len: usize) -> Reach {
+        let Some(f) = &mut self.fail else {
+            return Reach::Whole;
+        };
+        let reach = if f.attempted < f.plan.allow_writes {
+            Reach::Whole
+        } else if f.attempted == f.plan.allow_writes && f.plan.torn_bytes > 0 {
+            Reach::Torn(f.plan.torn_bytes.min(len.saturating_sub(1)))
+        } else {
+            Reach::Lost
+        };
+        f.attempted += 1;
+        reach
+    }
+
     /// Appends one record to the write-ahead log, honoring any armed
-    /// [`FailPlan`]: appends past the plan's allowance are dropped (the
-    /// first dropped one optionally leaves a torn prefix). The attempt is
-    /// always counted in [`IoStats`], which is how crash harnesses
-    /// enumerate injection points from a clean run.
+    /// [`FailPlan`]. The attempt is always counted in [`IoStats`], which
+    /// is how crash harnesses enumerate injection points from a clean run.
     fn append_wal(&mut self, rec: &WalRecord<'_>) {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let appended_bytes;
-        match &mut self.fail {
-            None => {
-                appended_bytes = wal::append_record(&mut self.wal_buf, lsn, rec);
-            }
-            Some(f) => {
-                let mut frame = Vec::new();
-                appended_bytes = wal::append_record(&mut frame, lsn, rec);
-                if f.appended < f.plan.allow_records {
-                    self.wal_buf.extend_from_slice(&frame);
-                } else if f.appended == f.plan.allow_records && f.plan.torn_bytes > 0 {
-                    // A torn write is strictly shorter than the frame, so
-                    // it can never verify as complete.
-                    let keep = f.plan.torn_bytes.min(frame.len().saturating_sub(1));
-                    self.wal_buf.extend_from_slice(&frame[..keep]);
-                }
-                f.appended += 1;
-            }
+        let start = self.wal_buf.len();
+        let appended_bytes = wal::append_record(&mut self.wal_buf, lsn, rec);
+        match self.reach(appended_bytes) {
+            Reach::Whole => {}
+            Reach::Torn(keep) => self.wal_buf.truncate(start + keep),
+            Reach::Lost => self.wal_buf.truncate(start),
         }
         let mut acct = self.acct();
         acct.stats.wal_records += 1;
         acct.stats.wal_bytes += appended_bytes as u64;
+    }
+
+    /// Appends prebuilt page images at the end of the file with **minimal
+    /// logging** and returns the first new page id. Each image is forced
+    /// once to the durable forced extent, then a single
+    /// [`WalRecord::Bulk`] naming the range is logged — instead of an
+    /// `Alloc` plus a full-image `Write` per page. Recovery installs the
+    /// range only if a commit follows the `Bulk` record.
+    ///
+    /// The store does no byte work beyond that one copy: the images move
+    /// in, with the checksums [`PageImage::seal`] stamped on the caller's
+    /// threads. Each page counts one `pages_written`, one `forced_pages`
+    /// and one pool touch (fresh pages are resident, as after
+    /// [`allocate`](Self::allocate)). Under an armed [`FailPlan`] every
+    /// forced page is one durable write, made before the `Bulk` record.
+    ///
+    /// Fails with [`StorageError::BulkLoad`], before touching anything, if
+    /// an image is not exactly one page long.
+    pub fn append_forced(&mut self, images: Vec<PageImage>) -> Result<PageId> {
+        let first = self.page_count();
+        if let Some(bad) = images.iter().find(|img| img.bytes.len() != PAGE_SIZE) {
+            return Err(StorageError::BulkLoad(format!(
+                "forced page image is {} bytes, not {PAGE_SIZE}",
+                bad.bytes.len()
+            )));
+        }
+        if images.is_empty() {
+            return Ok(first);
+        }
+        let count = images.len() as u64;
+        for img in images {
+            let id = self.pages.len() as PageId;
+            match self.reach(PAGE_SIZE) {
+                Reach::Whole => self.forced.push((id, img.clone())),
+                Reach::Torn(keep) => self.forced.push((
+                    id,
+                    PageImage {
+                        bytes: img.bytes[..keep].into(),
+                        sum: img.sum,
+                    },
+                )),
+                Reach::Lost => {}
+            }
+            self.pages.push(img.bytes);
+            self.sums.push(img.sum);
+            self.pool.touch_or_insert(id, self.serial_stamp());
+        }
+        {
+            let mut acct = self.acct();
+            acct.stats.pages_written += count;
+            acct.stats.forced_pages += count;
+        }
+        self.append_wal(&WalRecord::Bulk { first, count });
+        Ok(first)
     }
 
     /// Allocates a zeroed page **at the end of the file** and returns its
@@ -437,7 +561,10 @@ impl PageStore {
     ///
     /// When the log has grown past [`AUTO_CHECKPOINT_BYTES`] the commit
     /// also checkpoints — unless a [`FailPlan`] is armed, because the
-    /// crash harness needs the log to stay cuttable.
+    /// crash harness needs the log to stay cuttable. The forced extent
+    /// does not count towards the threshold: its pages already sit where
+    /// they belong and replay only verifies and installs them, so a
+    /// minimally logged load's commit does not checkpoint.
     pub fn commit(&mut self, catalog: &[u8]) {
         self.append_wal(&WalRecord::Commit { catalog });
         self.committed.fetch_add(1, Ordering::AcqRel);
@@ -446,13 +573,19 @@ impl PageStore {
         }
     }
 
-    /// Folds the current state into a fresh base image and truncates the
-    /// log. Modeled as atomic: a crash is either before (old base + old
-    /// log) or after (new base + empty log).
+    /// Folds the current state — forced extent included — into a fresh
+    /// base image and truncates the log. Modeled as atomic: a crash is
+    /// either before (old base + old forced extent + old log) or after
+    /// (new base, nothing else).
     pub fn checkpoint(&mut self) {
-        self.base_pages = self.pages.clone();
-        self.base_sums = self.sums.clone();
-        self.base_free = self.free.clone();
+        // `clone_from` copies into the previous base's page buffers
+        // instead of allocating a second file image and freeing the first;
+        // the forced extent is dropped first so a base built from scratch
+        // can reuse its memory.
+        self.forced.clear();
+        self.base_pages.clone_from(&self.pages);
+        self.base_sums.clone_from(&self.sums);
+        self.base_free.clone_from(&self.free);
         self.wal_buf.clear();
     }
 
@@ -467,7 +600,7 @@ impl PageStore {
     /// in-process, exactly like a process that loses power after the
     /// kernel buffered its writes.
     pub fn arm_fail(&mut self, plan: FailPlan) {
-        self.fail = Some(FailState { plan, appended: 0 });
+        self.fail = Some(FailState { plan, attempted: 0 });
     }
 
     /// Disarms any crash-injection plan.
@@ -495,13 +628,14 @@ impl PageStore {
     }
 
     /// The durable state a crash right now would preserve: the last
-    /// checkpoint's base image plus the surviving log bytes. Feed it to
-    /// [`PageStore::open`] to model the reboot.
+    /// checkpoint's base image, the forced extent, and the surviving log
+    /// bytes. Feed it to [`PageStore::open`] to model the reboot.
     pub fn crash_image(&self) -> DiskImage {
         DiskImage {
             pages: self.base_pages.clone(),
             sums: self.base_sums.clone(),
             free: self.base_free.clone(),
+            forced: self.forced.clone(),
             wal: self.wal_buf.clone(),
         }
     }
@@ -509,8 +643,11 @@ impl PageStore {
     /// Boots a store from a (possibly crash-cut, possibly corrupted) disk
     /// image: verifies the base pages against their checksums, replays the
     /// log **up to the last complete commit record**, and discards the
-    /// uncommitted/torn tail. The recovered store starts checkpointed at
-    /// the committed state with a cold (empty) buffer pool.
+    /// uncommitted/torn tail. A replayed `Bulk` record installs its range
+    /// from the forced extent, verifying each page's checksum; forced
+    /// pages no committed `Bulk` names are dropped unread. The recovered
+    /// store starts checkpointed at the committed state with a cold
+    /// (empty) buffer pool.
     pub fn open(image: &DiskImage) -> Result<Recovery> {
         PageStore::open_with(image, DEFAULT_POOL_PAGES, DiskProfile::default())
     }
@@ -562,7 +699,7 @@ impl PageStore {
         let mut max_lsn = 0u64;
         if let Some(last) = last_commit {
             for (i, (lsn, rec)) in scanned.records.iter().take(last + 1).enumerate() {
-                store.apply_replay(i, rec)?;
+                store.apply_replay(i, rec, &image.forced)?;
                 max_lsn = max_lsn.max(*lsn);
                 applied_records = i + 1;
             }
@@ -585,7 +722,12 @@ impl PageStore {
 
     /// Applies one replayed WAL record to the booting store, mirroring
     /// exactly what the live mutation did. `idx` only feeds error reports.
-    fn apply_replay(&mut self, idx: usize, rec: &WalRecord<'_>) -> Result<()> {
+    fn apply_replay(
+        &mut self,
+        idx: usize,
+        rec: &WalRecord<'_>,
+        forced: &[(PageId, PageImage)],
+    ) -> Result<()> {
         let corrupt = |msg: String| StorageError::WalCorrupt { offset: idx, msg };
         match rec {
             WalRecord::Alloc { page } => {
@@ -623,6 +765,38 @@ impl PageStore {
                 };
                 target[start..end].copy_from_slice(bytes);
                 self.sums[p] = wal::checksum32(target);
+            }
+            WalRecord::Bulk { first, count } => {
+                if *first != self.page_count() {
+                    return Err(corrupt(format!(
+                        "bulk range at page {first} does not start at the file end"
+                    )));
+                }
+                // The range must be a run of the forced extent; `count` is
+                // checked against what the image holds before any page is
+                // installed, so an inflated count allocates nothing.
+                let start = forced.partition_point(|(page, _)| page < first);
+                let run = usize::try_from(*count)
+                    .ok()
+                    .and_then(|n| start.checked_add(n))
+                    .and_then(|end| forced.get(start..end))
+                    .filter(|run| {
+                        run.iter()
+                            .zip(*first..)
+                            .all(|((page, _), want)| *page == want)
+                    });
+                let Some(run) = run else {
+                    return Err(corrupt(format!(
+                        "bulk range of {count} pages at {first} is outside the forced extent"
+                    )));
+                };
+                for (page, img) in run {
+                    img.verify(*page)?;
+                }
+                for (_, img) in run {
+                    self.pages.push(img.bytes.clone());
+                    self.sums.push(img.sum);
+                }
             }
             WalRecord::Commit { .. } => {}
         }
@@ -1323,7 +1497,7 @@ mod tests {
         for k in 0..=total {
             for torn in [0usize, 3] {
                 let s = run(Some(FailPlan {
-                    allow_records: k,
+                    allow_writes: k,
                     torn_bytes: torn,
                 }));
                 let rec = PageStore::open(&s.crash_image()).unwrap();
@@ -1414,6 +1588,45 @@ mod tests {
         let d = s.stats().since(&before);
         assert_eq!(d.pages_written, 1, "the write is still counted");
         assert_eq!(d.wal_records, 0, "but nothing needs logging");
+    }
+
+    #[test]
+    fn forced_append_logs_one_range_and_recovers_only_when_committed() {
+        let image = |b: u8| PageImage::seal(vec![b; PAGE_SIZE].into_boxed_slice());
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.commit(b"v1");
+        let before = s.stats();
+        assert_eq!(s.append_forced(vec![image(1), image(2)]).unwrap(), a + 1);
+        let d = s.stats().since(&before);
+        assert_eq!((d.pages_written, d.forced_pages, d.wal_records), (2, 2, 1));
+        assert_eq!(d.wal_bytes as usize, wal::FRAME_OVERHEAD + 16);
+        assert_eq!(s.raw_page(a + 2).unwrap()[0], 2);
+        assert!(s.pool().contains(a + 2), "fresh pages are resident");
+        // A Bulk with no commit after it is discarded unread.
+        let rec = PageStore::open(&s.crash_image()).unwrap();
+        assert_eq!(rec.store.page_count(), 1);
+        s.commit(b"v2");
+        let rec = PageStore::open(&s.crash_image()).unwrap();
+        assert_eq!(rec.store.raw_page(a + 1), s.raw_page(a + 1));
+        assert_eq!(rec.store.page_count(), 3);
+        // A checkpoint folds the forced extent into the base image.
+        s.checkpoint();
+        assert!(s.crash_image().forced.is_empty());
+        assert_eq!(
+            PageStore::open(&s.crash_image())
+                .unwrap()
+                .store
+                .page_count(),
+            3
+        );
+        // An image that is not one page is refused before anything moves.
+        let short = PageImage::seal(vec![0u8; 100].into_boxed_slice());
+        assert!(matches!(
+            s.append_forced(vec![image(3), short]),
+            Err(StorageError::BulkLoad(_))
+        ));
+        assert_eq!(s.page_count(), 3);
     }
 
     #[test]

@@ -96,14 +96,19 @@ impl Table {
     ///    contiguous row range with [`row::encode_row_inline`] — pure CPU,
     ///    no store access;
     /// 3. *leaf building* (parallel): [`BTree::bulk_build`] packs the
-    ///    encoded rows into leaf page images on worker threads;
+    ///    encoded rows into leaf page images and checksums them on worker
+    ///    threads;
     /// 4. *append + index build* (serial): images land in the file in page
-    ///    order and the internal levels are assembled on top.
+    ///    order and the internal levels are assembled on top — minimally
+    ///    logged: fresh pages are forced with
+    ///    [`PageStore::append_forced`](crate::PageStore::append_forced)
+    ///    and logged as one `Bulk` range record each, while the LOB spill
+    ///    and the recycled root leaf keep physiological logging.
     ///
     /// Stages 2–3 are the hot part of an ingest and scale with `dop`;
     /// stages 1 and 4 mutate the store and stay serial, so the resulting
-    /// layout, pool state and [`crate::IoStats`] are identical at every
-    /// `dop`.
+    /// layout, pool state, durable image and [`crate::IoStats`] are
+    /// identical at every `dop`.
     pub fn bulk_load(
         &mut self,
         store: &mut PageStore,

@@ -8,6 +8,14 @@
 //! image, so a B-tree slot update logs tens of bytes and a blob-chunk
 //! rewrite logs only the chunk payload.
 //!
+//! Bulk loads are **minimally logged**, like SQL Server's bulk insert into
+//! a new or empty table: [`crate::store::PageStore::append_forced`] first
+//! forces the prebuilt page images of fresh pages at the end of the file
+//! (the image's forced extent), then logs a single [`WalRecord::Bulk`]
+//! naming the range. Replaying `Bulk` installs the forced pages after
+//! verifying their checksums; a `Bulk` past the last commit is never
+//! replayed, so an uncommitted bulk allocation simply disappears.
+//!
 //! A transaction becomes durable with a [`WalRecord::Commit`] marker, which
 //! carries the serialized catalog (table name → schema → B-tree roots) as
 //! its payload. Recovery ([`crate::store::PageStore::open`]) replays the log
@@ -19,7 +27,7 @@
 //!
 //! ```text
 //! magic  u8   = 0xA7
-//! kind   u8   (1 = alloc, 2 = free, 3 = write, 4 = commit)
+//! kind   u8   (1 = alloc, 2 = free, 3 = write, 4 = commit, 5 = bulk)
 //! lsn    u64  LE, strictly increasing from 1
 //! len    u32  LE, payload byte count
 //! payload     (kind-specific, see below)
@@ -28,13 +36,21 @@
 //!
 //! Payloads: `alloc`/`free` are `page u64`; `write` is
 //! `page u64 | off u32 | bytes…` (the changed range, `off` relative to the
-//! page start); `commit` is the opaque catalog image.
+//! page start); `commit` is the opaque catalog image; `bulk` is
+//! `first u64 | count u64`, the forced page range.
+//!
+//! [`scan`] accepts a frame only when it is complete, verifies, and
+//! carries the LSN one past its predecessor's; the first frame that fails
+//! any of these ends the clean prefix.
 //!
 //! Because every store mutation happens on `&mut PageStore` (parallel scans
-//! only read), the byte stream of the log is a pure function of the logical
-//! operation sequence — identical at any DOP. That is what lets the
-//! crash-matrix tests enumerate injection points once and assert the count
-//! is the same at DOP 1/2/4/8.
+//! only read), the byte stream of the log — and the forced extent beside
+//! it — is a pure function of the logical operation sequence, identical at
+//! any DOP. That is what lets the crash-matrix tests enumerate injection
+//! points once and assert the count is the same at DOP 1/2/4/8. The
+//! injection points are the durable writes: every WAL append
+//! ([`crate::IoStats::wal_records`]) plus every forced page
+//! ([`crate::IoStats::forced_pages`]).
 
 use crate::errors::{Result, StorageError};
 use sqlarray_core::le;
@@ -49,6 +65,7 @@ const KIND_ALLOC: u8 = 1;
 const KIND_FREE: u8 = 2;
 const KIND_WRITE: u8 = 3;
 const KIND_COMMIT: u8 = 4;
+const KIND_BULK: u8 = 5;
 
 /// A fast non-cryptographic 32-bit checksum (an xorshift-multiply mix over
 /// 8-byte lanes, folded to 32 bits). Used both for WAL frame integrity and
@@ -103,6 +120,14 @@ pub enum WalRecord<'a> {
         /// Opaque catalog image (decoded by the engine, not the store).
         catalog: &'a [u8],
     },
+    /// `count` fresh pages starting at `first` (the file end) were forced
+    /// to the image's forced extent before this record was appended.
+    Bulk {
+        /// The first page of the forced range.
+        first: u64,
+        /// Pages in the forced range.
+        count: u64,
+    },
 }
 
 impl WalRecord<'_> {
@@ -112,6 +137,7 @@ impl WalRecord<'_> {
             WalRecord::Free { .. } => KIND_FREE,
             WalRecord::Write { .. } => KIND_WRITE,
             WalRecord::Commit { .. } => KIND_COMMIT,
+            WalRecord::Bulk { .. } => KIND_BULK,
         }
     }
 
@@ -120,6 +146,7 @@ impl WalRecord<'_> {
             WalRecord::Alloc { .. } | WalRecord::Free { .. } => 8,
             WalRecord::Write { bytes, .. } => 12 + bytes.len(),
             WalRecord::Commit { catalog } => catalog.len(),
+            WalRecord::Bulk { .. } => 16,
         }
     }
 }
@@ -139,6 +166,10 @@ pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize 
             log.extend_from_slice(bytes);
         }
         WalRecord::Commit { catalog } => log.extend_from_slice(catalog),
+        WalRecord::Bulk { first, count } => {
+            le::push_u64(log, *first);
+            le::push_u64(log, *count);
+        }
     }
     let check = checksum32(&log[start..]);
     le::push_u32(log, check);
@@ -162,15 +193,21 @@ pub struct WalScan<'a> {
 }
 
 /// Walks `buf` from the front, decoding records until the buffer ends or a
-/// frame fails to verify (short frame, bad magic, checksum mismatch). A
-/// failing frame is reported as a tear, never an error — a torn tail is
-/// the *expected* state after a crash.
+/// frame fails to verify (short frame, bad magic, checksum mismatch, or an
+/// LSN that is not its predecessor's plus one). A failing frame is
+/// reported as a tear, never an error — a torn tail is the *expected*
+/// state after a crash, and a stale frame left behind a newer tail is
+/// one too.
 pub fn scan(buf: &[u8]) -> WalScan<'_> {
-    let mut records = Vec::new();
+    let mut records: Vec<(u64, WalRecord<'_>)> = Vec::new();
     let mut ends = Vec::new();
     let mut off = 0usize;
     while off < buf.len() {
-        match decode_frame(buf, off) {
+        let frame = decode_frame(buf, off).filter(|(lsn, _, _)| match records.last() {
+            Some((prev, _)) => prev.checked_add(1) == Some(*lsn),
+            None => true,
+        });
+        match frame {
             Some((lsn, rec, next)) => {
                 records.push((lsn, rec));
                 ends.push(next);
@@ -240,6 +277,10 @@ fn decode_frame(buf: &[u8], off: usize) -> Option<(u64, WalRecord<'_>, usize)> {
             bytes: &payload[12..],
         },
         KIND_COMMIT => WalRecord::Commit { catalog: payload },
+        KIND_BULK if payload_len == 16 => WalRecord::Bulk {
+            first: le::u64_at(payload, 0),
+            count: le::u64_at(payload, 8),
+        },
         _ => return None,
     };
     Some((lsn, rec, frame_end))
@@ -262,8 +303,9 @@ mod tests {
             },
         );
         append_record(&mut log, 3, &WalRecord::Free { page: 0 });
+        append_record(&mut log, 4, &WalRecord::Bulk { first: 1, count: 3 });
         let commit_at = log.len();
-        append_record(&mut log, 4, &WalRecord::Commit { catalog: b"cat" });
+        append_record(&mut log, 5, &WalRecord::Commit { catalog: b"cat" });
         (log, commit_at)
     }
 
@@ -271,7 +313,7 @@ mod tests {
     fn round_trips_every_kind() {
         let (log, _) = sample_log();
         let recs = scan_strict(&log).unwrap();
-        assert_eq!(recs.len(), 4);
+        assert_eq!(recs.len(), 5);
         assert_eq!(recs[0], (1, WalRecord::Alloc { page: 0 }));
         assert_eq!(
             recs[1],
@@ -285,7 +327,31 @@ mod tests {
             )
         );
         assert_eq!(recs[2], (3, WalRecord::Free { page: 0 }));
-        assert_eq!(recs[3], (4, WalRecord::Commit { catalog: b"cat" }));
+        assert_eq!(recs[3], (4, WalRecord::Bulk { first: 1, count: 3 }));
+        assert_eq!(recs[4], (5, WalRecord::Commit { catalog: b"cat" }));
+    }
+
+    #[test]
+    fn lsn_discontinuity_ends_the_clean_prefix() {
+        let (mut log, _) = sample_log();
+        let whole = log.len();
+        // A checksum-valid frame whose LSN repeats an earlier one: a stale
+        // frame left behind a newer tail, not part of this log.
+        append_record(&mut log, 2, &WalRecord::Commit { catalog: b"old" });
+        let s = scan(&log);
+        assert_eq!(s.records.len(), 5);
+        assert_eq!(s.clean_len, whole);
+        assert_eq!(s.tear, Some(whole));
+        // A forward gap ends the prefix too.
+        let (mut log, _) = sample_log();
+        append_record(&mut log, 7, &WalRecord::Free { page: 0 });
+        assert_eq!(scan(&log).tear, Some(whole));
+        // Only continuity is checked: a log may start at any LSN (it
+        // resumes where the last checkpoint truncated it).
+        let mut log = Vec::new();
+        append_record(&mut log, 41, &WalRecord::Alloc { page: 0 });
+        append_record(&mut log, 42, &WalRecord::Commit { catalog: b"" });
+        assert_eq!(scan_strict(&log).unwrap().len(), 2);
     }
 
     #[test]
@@ -294,7 +360,7 @@ mod tests {
         // Cut mid-way through the commit frame.
         let torn = &log[..commit_at + 5];
         let s = scan(torn);
-        assert_eq!(s.records.len(), 3);
+        assert_eq!(s.records.len(), 4);
         assert_eq!(s.clean_len, commit_at);
         assert_eq!(s.tear, Some(commit_at));
         assert_eq!(

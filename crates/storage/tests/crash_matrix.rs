@@ -1,13 +1,17 @@
 //! The crash matrix: every mutation path (bulk load, UPDATE-style row and
-//! blob-range maintenance, DELETE) is killed at **every** WAL-append
-//! injection point — with clean and torn cuts — and recovery must land
-//! byte-for-byte on the last complete commit: base pages, checksums,
-//! free list, catalog, and every decodable row and LOB chain.
+//! blob-range maintenance, DELETE) is killed at **every** durable-write
+//! injection point — each WAL append and each forced bulk page, with clean
+//! and torn cuts — and recovery must land byte-for-byte on the last
+//! complete commit: base pages, checksums, free list, catalog, and every
+//! decodable row and LOB chain.
 //!
 //! Injection points are enumerated from one clean run of the victim
-//! ([`IoStats::wal_records`] counts every append, durable or not), so the
-//! matrix is exhaustive by construction: a new WAL record type or an
-//! extra logged write in some code path automatically widens the matrix.
+//! ([`IoStats::durable_writes`] counts every append and forced page,
+//! durable or not), so the matrix is exhaustive by construction: a new WAL
+//! record type or an extra logged or forced write in some code path
+//! automatically widens the matrix. For a minimally logged bulk load that
+//! includes cuts mid-force, between the force and its `Bulk` record, and
+//! between `Bulk` and `Commit`.
 //!
 //! The property-based suite generalizes the fixed victims: random
 //! insert/update/patch/delete interleavings with a commit after every
@@ -15,8 +19,10 @@
 //! the prefix covered by the last surviving commit.
 
 use proptest::prelude::*;
-use sqlarray_storage::fail::{tear_wal, FailStore};
-use sqlarray_storage::{wal, ColType, DiskImage, PageStore, RowValue, Schema, StorageError, Table};
+use sqlarray_storage::fail::{corrupt_forced_byte, tear_forced_page, tear_wal, FailStore};
+use sqlarray_storage::{
+    wal, ColType, DiskImage, IoStats, PageStore, RowValue, Schema, StorageError, Table,
+};
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
 
@@ -132,40 +138,46 @@ fn recover(image: &DiskImage) -> RecoveredState {
     }
 }
 
-/// Kills `victim` at every WAL-append injection point (clean cut and a
-/// 17-byte torn prefix of the first lost record), asserting recovery is
-/// byte-identical to the pre-victim commit for every incomplete cut, and
-/// to the post-victim commit when everything reached the log. `victim`
-/// must end with exactly one commit (its last append).
-fn run_matrix(setup: &dyn Fn() -> (PageStore, Table), victim: &dyn Fn(&mut PageStore, &mut Table)) {
+/// Kills `victim` at every durable-write injection point (clean cut and a
+/// 17-byte torn prefix of the first lost record or forced page), asserting
+/// recovery is byte-identical to the pre-victim commit for every
+/// incomplete cut, and to the post-victim commit when everything reached
+/// the disk. `victim` must end with exactly one commit (its last append).
+/// Returns the clean run's I/O counters.
+fn run_matrix(
+    setup: &dyn Fn() -> (PageStore, Table),
+    victim: &dyn Fn(&mut PageStore, &mut Table),
+) -> IoStats {
     // Clean run: enumerate the injection points, capture both anchors.
     let (mut store, mut t) = setup();
     let pre = recover(&store.crash_image());
-    let before = store.stats().wal_records;
+    let before = store.stats();
     victim(&mut store, &mut t);
-    let n_records = store.stats().wal_records - before;
-    assert!(n_records > 1, "victim must append records, then commit");
+    let io = store.stats().since(&before);
+    let n_writes = io.durable_writes();
+    assert!(n_writes > 1, "victim must write, then commit");
     let post = recover(&store.crash_image());
     assert_ne!(pre.rows, post.rows, "victim must change visible state");
 
-    for allow in 0..=n_records {
+    for allow in 0..=n_writes {
         for torn in [0usize, 17] {
             let (store, mut t) = setup();
             let mut f = FailStore::new(store);
             f.kill_at_write(allow, torn);
             victim(&mut f, &mut t);
             let got = recover(&f.crash());
-            // The victim's last append is its commit record: any cut that
-            // loses a record loses the commit, so recovery must roll the
+            // The victim's last write is its commit record: any cut that
+            // loses a write loses the commit, so recovery must roll the
             // whole victim back; only the full log carries it forward.
-            let want = if allow < n_records { &pre } else { &post };
+            let want = if allow < n_writes { &pre } else { &post };
             assert_eq!(
                 &got, want,
-                "crash at record {allow}/{n_records} (torn {torn}) must recover \
+                "crash at write {allow}/{n_writes} (torn {torn}) must recover \
                  the last complete commit"
             );
         }
     }
+    io
 }
 
 /// Rows mixing inline blobs, a 2-chunk LOB, and a 3-chunk LOB, so leaf
@@ -198,18 +210,21 @@ fn loaded_committed() -> (PageStore, Table) {
 #[test]
 fn bulk_load_crash_matrix_at_every_dop() {
     for dop in [1usize, 2, 4, 8] {
-        run_matrix(&empty_committed, &move |store, t| {
+        let io = run_matrix(&empty_committed, &move |store, t| {
             t.bulk_load(store, &mixed_rows(12), dop).unwrap();
             commit(store, t);
         });
+        // The fresh leaves are forced, so the matrix cuts mid-force too.
+        assert!(io.forced_pages > 1, "dop {dop}: {io:?}");
     }
 }
 
 #[test]
 fn bulk_load_wal_stream_is_dop_invariant() {
     // The matrix above re-proves recovery per DOP; this pins the stronger
-    // fact it rests on: the *log bytes themselves* are identical, so every
-    // crash point at DOP 8 is the same disk state as at DOP 1.
+    // fact it rests on: the *durable bytes themselves* — base pages, forced
+    // extent and log — are identical, so every crash point at DOP 8 is the
+    // same disk state as at DOP 1.
     let image_at = |dop: usize| {
         let (mut store, mut t) = empty_committed();
         t.bulk_load(&mut store, &mixed_rows(24), dop).unwrap();
@@ -217,13 +232,102 @@ fn bulk_load_wal_stream_is_dop_invariant() {
         store.crash_image()
     };
     let serial = image_at(1);
+    assert!(!serial.forced.is_empty());
     for dop in [2usize, 4, 8] {
-        let par = image_at(dop);
-        assert_eq!(serial.wal, par.wal, "WAL bytes differ at dop {dop}");
-        assert_eq!(serial.pages, par.pages, "base pages differ at dop {dop}");
-        assert_eq!(serial.sums, par.sums);
-        assert_eq!(serial.free, par.free);
+        assert_eq!(image_at(dop), serial, "disk image differs at dop {dop}");
     }
+}
+
+/// A bulk load's crash image with its commit intact, or with the log cut
+/// just before the commit record (the `Bulk` records survive, the commit
+/// does not).
+fn bulk_image(dop: usize, committed: bool) -> DiskImage {
+    let (mut store, mut t) = empty_committed();
+    t.bulk_load(&mut store, &mixed_rows(24), dop).unwrap();
+    let before_commit = store.crash_image().wal.len();
+    commit(&mut store, &t);
+    let mut image = store.crash_image();
+    if !committed {
+        tear_wal(&mut image, before_commit);
+    }
+    image
+}
+
+#[test]
+fn damaged_forced_page_is_typed_with_a_commit_and_ignored_without() {
+    let (store, _) = empty_committed();
+    let pre = recover(&store.crash_image());
+    for dop in [1usize, 2, 4, 8] {
+        let n_forced = bulk_image(dop, true).forced.len();
+        for idx in [0, n_forced / 2, n_forced - 1] {
+            type Damage = fn(&mut DiskImage, usize);
+            let damages: [(&str, Damage); 2] = [
+                ("torn", |img, idx| tear_forced_page(img, idx, 100)),
+                ("flipped", |img, idx| corrupt_forced_byte(img, idx, 4000)),
+            ];
+            for (what, damage) in damages {
+                // A committed Bulk names the page: replay refuses it.
+                let mut image = bulk_image(dop, true);
+                let page = image.forced[idx].0;
+                damage(&mut image, idx);
+                let err = PageStore::open(&image).unwrap_err();
+                assert!(
+                    matches!(err, StorageError::PageCorrupt { page: p, .. } if p == page),
+                    "dop {dop}: {what} forced page {page}: got {err:?}"
+                );
+                // No commit covers it: the allocation is discarded unread
+                // and recovery lands on the pre-load commit.
+                let mut image = bulk_image(dop, false);
+                damage(&mut image, idx);
+                assert_eq!(recover(&image), pre, "dop {dop}: {what} page {page}");
+            }
+        }
+    }
+}
+
+#[test]
+fn bulk_load_logs_ranges_not_page_images() {
+    let (mut store, mut t) = empty_committed();
+    let before = store.stats();
+    t.bulk_load(&mut store, &mixed_rows(64), 2).unwrap();
+    let io = store.stats().since(&before);
+    // Every fresh leaf and internal page is forced; only the recycled
+    // root leaf and the LOB spill are logged page by page.
+    let leaf_pages = t.data_pages(&mut store).unwrap();
+    assert!(io.forced_pages >= leaf_pages - 1, "{io:?}");
+    let log = store.crash_image().wal;
+    let recs = wal::scan_strict(&log).unwrap();
+    let bulk: Vec<(u64, u64)> = recs
+        .iter()
+        .filter_map(|(_, r)| match *r {
+            wal::WalRecord::Bulk { first, count } => Some((first, count)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(bulk.iter().map(|b| b.1).sum::<u64>(), io.forced_pages);
+    assert!(recs.iter().all(|(_, r)| match r {
+        wal::WalRecord::Write { page, .. } => !bulk
+            .iter()
+            .any(|&(first, count)| (first..first + count).contains(page)),
+        _ => true,
+    }));
+}
+
+#[test]
+fn stale_frame_after_a_commit_is_discarded() {
+    // A checksum-valid frame whose LSN does not continue the log (here a
+    // copy of the setup's own commit) must not be taken for a newer
+    // commit: the scan ends at the LSN break and the tail is discarded.
+    let (mut store, mut t) = empty_committed();
+    let stale_commit = store.crash_image().wal;
+    t.bulk_load(&mut store, &mixed_rows(12), 2).unwrap();
+    commit(&mut store, &t);
+    let want = recover(&store.crash_image());
+    let mut image = store.crash_image();
+    image.wal.extend_from_slice(&stale_commit);
+    let rec = PageStore::open(&image).unwrap();
+    assert_eq!(rec.discarded_bytes, stale_commit.len());
+    assert_eq!(recover(&image), want);
 }
 
 #[test]
@@ -362,13 +466,13 @@ proptest! {
     ) {
         // Clean run: per-prefix cumulative record counts and states.
         let (mut store, mut t) = loaded_committed();
-        let base_records = store.stats().wal_records;
-        let mut cut_records = vec![0u64]; // records consumed by prefix i
+        let base_records = store.stats().durable_writes();
+        let mut cut_records = vec![0u64]; // writes consumed by prefix i
         let mut states = vec![recover(&store.crash_image())];
         for (i, op) in ops.iter().enumerate() {
             apply(&mut store, &mut t, op, i as i64);
             commit(&mut store, &t);
-            cut_records.push(store.stats().wal_records - base_records);
+            cut_records.push(store.stats().durable_writes() - base_records);
             states.push(recover(&store.crash_image()));
         }
         let total = *cut_records.last().unwrap();
