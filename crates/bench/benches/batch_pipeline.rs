@@ -1,12 +1,12 @@
-//! Row-at-a-time interpreter vs the columnar batch pipeline.
+//! One-row batches vs default-size batches of the columnar pipeline.
 //!
 //! Times the two `BATCH_QUERIES` workload shapes (filter-heavy and
-//! aggregate-heavy) over `Tscalar` at three configurations: the row
-//! interpreter (`set_batch_rows(0)`), 1 K-row batches (the default), and
-//! 4 K-row batches. Before any timing, each query is checked bit-identical
-//! between the row path and the batch path at DOP 1/2/4/8 — the bench run
-//! itself fails on a vectorization divergence. Warm cache and DOP 1
-//! throughout, so the comparison isolates per-row interpreter overhead.
+//! aggregate-heavy) over `Tscalar` at three batch sizes: one row (the
+//! pipeline's per-row cost, `set_batch_rows(1)`), 1 K rows (the default),
+//! and 4 K rows. Before any timing, each query is checked bit-identical
+//! between one-row batches and the larger sizes at DOP 1/2/4/8 — the
+//! bench run itself fails on a divergence. Warm cache and DOP 1
+//! throughout, so the comparison isolates per-batch amortization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqlarray_bench::{build_table1_db_with, rows_bit_identical, BATCH_QUERIES};
@@ -20,8 +20,8 @@ fn bench_batch_pipeline(c: &mut Criterion) {
 
     // Correctness gate: the configurations being compared must agree.
     for (label, sql) in BATCH_QUERIES {
-        session.set_batch_rows(0);
-        let base = session.query(sql).expect("row-path query");
+        session.set_batch_rows(1);
+        let base = session.query(sql).expect("one-row-batch query");
         for dop in [1usize, 2, 4, 8] {
             for batch in [1024usize, 4096] {
                 session.set_batch_rows(batch);
@@ -29,7 +29,7 @@ fn bench_batch_pipeline(c: &mut Criterion) {
                 let got = session.query(sql).expect("batch-path query");
                 assert!(
                     rows_bit_identical(&base.rows, &got.rows),
-                    "{label}: batch={batch} dop={dop} diverged from row path"
+                    "{label}: batch={batch} dop={dop} diverged from one-row batches"
                 );
             }
         }
@@ -38,9 +38,9 @@ fn bench_batch_pipeline(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batch_pipeline");
     for (label, sql) in BATCH_QUERIES {
-        session.set_batch_rows(0);
-        group.bench_function(format!("{label}/rows"), |b| {
-            b.iter(|| session.query(sql).expect("row-path query"))
+        session.set_batch_rows(1);
+        group.bench_function(format!("{label}/batch1"), |b| {
+            b.iter(|| session.query(sql).expect("one-row-batch query"))
         });
         for batch in [1024usize, 4096] {
             session.set_batch_rows(batch);

@@ -186,14 +186,14 @@ fn main() {
 
     // --- vectorized batch execution ----------------------------------
     println!();
-    println!("== Vectorized batch execution (columnar batches vs row-at-a-time) ==");
+    println!("== Vectorized batch execution (default-size vs one-row batches) ==");
     println!("each query warm, serial, best of three; bit-identity asserted at DOP 1/2/4/8 first");
     for r in run_batch_report(&mut session) {
         println!(
-            "{:<16} row {:.3} s vs batch {:.3} s  ({:.2}x); {} batches, \
+            "{:<16} 1-row {:.3} s vs batch {:.3} s  ({:.2}x); {} batches, \
              mean fill {:.0} rows   {}",
             r.label,
-            r.row_seconds,
+            r.one_row_seconds,
             r.batch_seconds,
             r.speedup(),
             r.batches,

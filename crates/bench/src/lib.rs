@@ -499,8 +499,7 @@ pub fn run_subarray_report() -> Vec<SubarrayReport> {
 /// filter-heavy (selective conjunctive predicate, tiny projection — the
 /// per-row work is predicate evaluation) and one aggregate-heavy (five
 /// aggregates over arithmetic — the per-row work is expression + fold).
-/// Both compile to batch plans and also run on the row interpreter when
-/// batching is disabled, so they measure the same logical work twice.
+/// Both compile entirely to batch kernels.
 pub const BATCH_QUERIES: [(&str, &str); 2] = [
     (
         "filter-heavy",
@@ -515,53 +514,57 @@ pub const BATCH_QUERIES: [(&str, &str); 2] = [
 ];
 
 /// One row of the vectorized-execution comparison: the same query timed
-/// on the row-at-a-time interpreter (`set_batch_rows(0)`) and on the
-/// default columnar batch pipeline, warm-cache and serial, after the
-/// bit-identity of the two paths was asserted at DOP 1/2/4/8.
+/// on one-row batches (`set_batch_rows(1)`, the per-row cost of the
+/// pipeline) and on default-size batches, warm-cache and serial, after
+/// the bit-identity of the two sizes was asserted at DOP 1/2/4/8.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Human label for the workload shape.
     pub label: &'static str,
     /// The SQL text measured.
     pub sql: &'static str,
-    /// Best-of-three warm wall seconds on the row interpreter.
-    pub row_seconds: f64,
-    /// Best-of-three warm wall seconds on the batch pipeline.
+    /// Best-of-three warm wall seconds on one-row batches.
+    pub one_row_seconds: f64,
+    /// Best-of-three warm wall seconds on default-size batches.
     pub batch_seconds: f64,
-    /// Batches flushed by the batch run.
+    /// Batches flushed by the default-size run.
     pub batches: u64,
     /// Mean rows per flushed batch.
     pub batch_fill: f64,
 }
 
 impl BatchReport {
-    /// Row-path wall time over batch-path wall time (the headline number).
+    /// One-row wall time over default-size wall time (the headline
+    /// number).
     pub fn speedup(&self) -> f64 {
-        self.row_seconds / self.batch_seconds.max(1e-9)
+        self.one_row_seconds / self.batch_seconds.max(1e-9)
     }
 }
 
-/// Times [`BATCH_QUERIES`] on the row path vs the batch path, serial and
-/// warm (the comparison isolates CPU work, not buffer-pool behaviour).
-/// Before timing, every query is run on both paths at DOP 1/2/4/8 and the
-/// results must be bit-identical — a vectorization divergence panics the
-/// report rather than printing a tainted speedup. The session's DOP and
-/// batch size are restored afterwards.
+/// Times [`BATCH_QUERIES`] on one-row batches vs default-size batches,
+/// serial and warm (the comparison isolates CPU work, not buffer-pool
+/// behaviour). Before timing, every query is run on one-row batches at
+/// DOP 1 and on default-size batches at DOP 1/2/4/8, and the results must
+/// be bit-identical — a divergence panics the report rather than printing
+/// a tainted speedup. The session's DOP and batch size are restored
+/// afterwards.
 pub fn run_batch_report(session: &mut Session) -> Vec<BatchReport> {
+    const DEFAULT: usize = sqlarray_core::batch::DEFAULT_BATCH_ROWS;
     let (saved_dop, saved_batch) = (session.dop(), session.batch_rows());
     let mut out = Vec::with_capacity(BATCH_QUERIES.len());
     for (label, sql) in BATCH_QUERIES {
-        // Correctness gate: serial row baseline vs batch at every DOP.
-        session.set_batch_rows(0);
+        // Correctness gate: serial one-row baseline vs default batches at
+        // every DOP.
+        session.set_batch_rows(1);
         session.set_dop(1);
-        let base = session.query(sql).expect("row-path query");
+        let base = session.query(sql).expect("one-row-batch query");
         for dop in [1usize, 2, 4, 8] {
-            session.set_batch_rows(sqlarray_core::batch::DEFAULT_BATCH_ROWS);
+            session.set_batch_rows(DEFAULT);
             session.set_dop(dop);
-            let got = session.query(sql).expect("batch-path query");
+            let got = session.query(sql).expect("batch query");
             assert!(
                 rows_bit_identical(&base.rows, &got.rows),
-                "batch result diverged from row path at DOP {dop} for {sql}"
+                "default batches diverged from one-row batches at DOP {dop} for {sql}"
             );
         }
         session.set_dop(1);
@@ -577,14 +580,14 @@ pub fn run_batch_report(session: &mut Session) -> Vec<BatchReport> {
             }
             (best, stats.expect("three timed runs"))
         };
-        session.set_batch_rows(0);
-        let (row_seconds, _) = time_best(session);
-        session.set_batch_rows(sqlarray_core::batch::DEFAULT_BATCH_ROWS);
+        session.set_batch_rows(1);
+        let (one_row_seconds, _) = time_best(session);
+        session.set_batch_rows(DEFAULT);
         let (batch_seconds, stats) = time_best(session);
         out.push(BatchReport {
             label,
             sql,
-            row_seconds,
+            one_row_seconds,
             batch_seconds,
             batches: stats.batches,
             batch_fill: stats.batch_fill,

@@ -616,8 +616,8 @@ truthy_impl!(truthy_f32, f32, 0.0f32);
 /// Accumulates every lane into `sum` through the exact summator.
 ///
 /// This is the only summing kernel — there is deliberately no fast-path
-/// naive `+=` variant, so batch `SUM`/`AVG` stay bit-identical to serial
-/// row-at-a-time execution at any DOP.
+/// naive `+=` variant, so batch `SUM`/`AVG` stay bit-identical at any
+/// batch size and DOP.
 pub fn sum_f64(vals: &[f64], sum: &mut ExactSum) {
     for &x in vals {
         sum.add(x);

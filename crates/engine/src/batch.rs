@@ -1,17 +1,22 @@
 //! The vectorized execution plan: compiling scan expressions to batch
 //! kernels, and evaluating them over columnar batches.
 //!
-//! [`plan_select`] is **the** fallback seam of the vectorized pipeline: it
-//! returns `Some(BatchPlan)` exactly when every expression a scan must
-//! evaluate compiles to the batch kernel set — column references of scalar
-//! type, numeric/boolean literals and session variables, arithmetic,
-//! comparisons, `AND`/`OR`/`NOT`, unary minus, the built-in aggregates, and
-//! bare blob-column projections. Anything else — UDFs (including the
-//! `Subarray`/`Item` LOB pushdown), UDAs, `GROUP BY`, string/bytes
-//! comparisons — returns `None` and the executor runs the row-at-a-time
-//! interpreter instead. There is no third path.
+//! Every `FROM` scan — SELECT projections, aggregates, `GROUP BY`, and the
+//! match phase of UPDATE/DELETE — runs a [`BatchPlan`]; [`plan_select`] is
+//! total. Each filter, projection item, group key and aggregate argument
+//! compiles either entirely to the kernel set — column references of
+//! scalar type, numeric/boolean literals and session variables,
+//! arithmetic, comparisons, `AND`/`OR`/`NOT`, unary minus — or entirely to
+//! one escape node, [`BExpr::Row`], which runs the row interpreter
+//! ([`crate::expr::eval`]) once per selected row, in row order, reading
+//! the row's columns from the batch lanes. UDF calls (and the
+//! `Subarray`/`Item` LOB pushdown behind them), UDA arguments, string,
+//! bytes and NULL literals, missing variables, blobs inside expressions
+//! and `-(bool)` escape. Because the escape is whole-expression, an escaped
+//! item keeps the row interpreter's per-row short-circuit and error
+//! semantics exactly.
 //!
-//! Compiled plans reproduce the row interpreter's semantics exactly:
+//! Compiled kernels reproduce the row interpreter's semantics exactly:
 //!
 //! * integer × integer arithmetic wraps in `i64` and yields `BIGINT`;
 //!   any float or boolean operand switches the operator to `f64`;
@@ -23,9 +28,9 @@
 //!   row interpreter would have evaluated it on;
 //! * projections and aggregate arguments are evaluated only over rows
 //!   that passed the filter;
-//! * unary minus preserves the operand's type, like the row path.
+//! * unary minus preserves the operand's type, like the interpreter.
 
-use crate::expr::{AggFunc, BinOp, Expr};
+use crate::expr::{AggFunc, BinOp, EvalEnv, Expr, RowCtx};
 use crate::tsql::SelectItem;
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch as b;
@@ -41,6 +46,8 @@ pub(crate) enum VKind {
     F64,
     F32,
     Bool,
+    /// Whatever the row interpreter returns (the escape node).
+    Dyn,
 }
 
 impl VKind {
@@ -84,6 +91,10 @@ pub(crate) enum BExpr {
         l: Box<BExpr>,
         r: Box<BExpr>,
     },
+    /// The escape node: a whole expression without a kernel, evaluated by
+    /// the row interpreter once per selected row. Only ever the root of a
+    /// filter, item, group key or aggregate argument.
+    Row(Expr),
 }
 
 impl BExpr {
@@ -99,6 +110,7 @@ impl BExpr {
             BExpr::Not(_) | BExpr::And(..) | BExpr::Or(..) | BExpr::Cmp { .. } => VKind::Bool,
             BExpr::IntArith { .. } => VKind::I64,
             BExpr::FloatArith { .. } => VKind::F64,
+            BExpr::Row(_) => VKind::Dyn,
         }
     }
 }
@@ -106,12 +118,12 @@ impl BExpr {
 /// The argument of a compiled built-in aggregate.
 #[derive(Debug, Clone)]
 pub(crate) enum BAggArg {
-    /// A scalar expression (`SUM`/`AVG`/`MIN`/`MAX`/`COUNT` over numerics).
+    /// A scalar expression (or an escape node).
     Scalar(BExpr),
     /// `COUNT(blob_col)`: the argument is a bare blob column — only
-    /// null-ness matters and stored columns are never null, so the batch
-    /// position is carried for shape only.
-    Blob(usize),
+    /// null-ness matters and stored columns are never null, so the column
+    /// is not even decoded.
+    Blob,
 }
 
 /// One compiled select-list item.
@@ -125,38 +137,57 @@ pub(crate) enum BItem {
     ProjBlob(usize),
     /// Built-in aggregate.
     Agg { func: AggFunc, arg: Option<BAggArg> },
-    /// Non-aggregate item inside an aggregate query: evaluated once, at
-    /// the first filter-passing row (the row interpreter's semantics).
+    /// User-defined aggregate: its per-row arguments.
+    Uda(Vec<BExpr>),
+    /// Non-aggregate item inside an aggregate query: evaluated once per
+    /// group, at the group's first filter-passing row (the row
+    /// interpreter's semantics).
     Plain(BExpr),
 }
 
 /// A compiled vectorized scan: which schema columns to decode, the filter,
-/// and the select-list items, all in terms of batch column positions.
+/// the group keys and the select-list items, all in terms of batch column
+/// positions.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchPlan {
     /// Schema column indices to decode, in batch-column order.
     pub cols: Vec<usize>,
     /// Compiled WHERE predicate.
     pub filter: Option<BExpr>,
+    /// Compiled GROUP BY keys (empty: one global group).
+    pub group_by: Vec<BExpr>,
     /// Compiled select-list items (aggregates iff the query aggregates).
     pub items: Vec<BItem>,
     /// Flush batches at every leaf boundary. Set when the plan touches a
-    /// blob column, so per-batch LOB resolution interleaves page reads
-    /// (leaf, then that leaf's LOB pages) exactly like the row-at-a-time
-    /// scan — the IoStats/seek DOP-invariance machinery depends on it.
+    /// blob column or holds an escape node, so per-batch LOB reads
+    /// interleave with leaf reads (leaf, then that leaf's LOB pages)
+    /// identically at every DOP — the IoStats/seek DOP-invariance
+    /// machinery depends on it.
     pub leaf_aligned: bool,
 }
 
-struct Compiler<'a> {
+/// Builds a [`BatchPlan`]: registers the columns each compiled expression
+/// reads and records whether any expression escaped.
+pub(crate) struct Compiler<'a> {
     schema: &'a Schema,
     vars: &'a HashMap<String, Value>,
     cols: Vec<usize>,
+    escaped: bool,
 }
 
 impl<'a> Compiler<'a> {
+    pub(crate) fn new(schema: &'a Schema, vars: &'a HashMap<String, Value>) -> Compiler<'a> {
+        Compiler {
+            schema,
+            vars,
+            cols: Vec::new(),
+            escaped: false,
+        }
+    }
+
     /// Batch column position for a schema index, registering it on first
     /// use. Linear scan: plans touch a handful of columns.
-    fn col_pos(&mut self, idx: usize) -> usize {
+    pub(crate) fn col_pos(&mut self, idx: usize) -> usize {
         match self.cols.iter().position(|&c| c == idx) {
             Some(p) => p,
             None => {
@@ -175,17 +206,19 @@ impl<'a> Compiler<'a> {
             Value::Bool(x) => Some(BExpr::LitBool(*x)),
             // Null, strings, bytes, and LOB references keep the row
             // interpreter's semantics (string compares, null propagation)
-            // by falling back.
+            // through the escape node.
             _ => None,
         }
     }
 
+    /// Compiles `e` to a kernel tree, or `None` when some node has no
+    /// kernel.
     fn compile(&mut self, e: &Expr) -> Option<BExpr> {
         match e {
             Expr::Lit(v) => self.lit(v),
             // A missing variable is a per-row error in the interpreter
-            // (FROM-scans only raise it when the table is non-empty), so
-            // it must stay on the row path to error identically.
+            // (FROM-scans only raise it when a row is selected), so it
+            // escapes to error identically.
             Expr::Var(name) => {
                 let v = crate::expr::lookup_var(self.vars, name)?;
                 self.lit(v)
@@ -198,7 +231,7 @@ impl<'a> Compiler<'a> {
                     ColType::F64 => VKind::F64,
                     ColType::F32 => VKind::F32,
                     // Blob columns inside computed expressions (equality,
-                    // truthiness, …) keep row semantics by falling back.
+                    // truthiness, …) keep row semantics by escaping.
                     ColType::Blob => return None,
                 };
                 Some(BExpr::Col {
@@ -210,7 +243,7 @@ impl<'a> Compiler<'a> {
                 let c = self.compile(inner)?;
                 if c.kind() == VKind::Bool {
                     // `-(bool)` is a typed error in the interpreter; the
-                    // fallback raises it with the exact message.
+                    // escape node raises it with the exact message.
                     return None;
                 }
                 Some(BExpr::Neg(Box::new(c)))
@@ -219,76 +252,131 @@ impl<'a> Compiler<'a> {
             Expr::Bin { op, left, right } => {
                 let l = Box::new(self.compile(left)?);
                 let r = Box::new(self.compile(right)?);
-                match op {
-                    BinOp::And => Some(BExpr::And(l, r)),
-                    BinOp::Or => Some(BExpr::Or(l, r)),
-                    BinOp::Eq => Some(BExpr::Cmp {
+                Some(match op {
+                    BinOp::And => BExpr::And(l, r),
+                    BinOp::Or => BExpr::Or(l, r),
+                    BinOp::Eq => BExpr::Cmp {
                         op: CmpOp::Eq,
                         l,
                         r,
-                    }),
-                    BinOp::Ne => Some(BExpr::Cmp {
+                    },
+                    BinOp::Ne => BExpr::Cmp {
                         op: CmpOp::Ne,
                         l,
                         r,
-                    }),
-                    BinOp::Lt => Some(BExpr::Cmp {
+                    },
+                    BinOp::Lt => BExpr::Cmp {
                         op: CmpOp::Lt,
                         l,
                         r,
-                    }),
-                    BinOp::Le => Some(BExpr::Cmp {
+                    },
+                    BinOp::Le => BExpr::Cmp {
                         op: CmpOp::Le,
                         l,
                         r,
-                    }),
-                    BinOp::Gt => Some(BExpr::Cmp {
+                    },
+                    BinOp::Gt => BExpr::Cmp {
                         op: CmpOp::Gt,
                         l,
                         r,
-                    }),
-                    BinOp::Ge => Some(BExpr::Cmp {
+                    },
+                    BinOp::Ge => BExpr::Cmp {
                         op: CmpOp::Ge,
                         l,
                         r,
-                    }),
+                    },
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        let aop = match op {
+                        let op = match op {
                             BinOp::Add => ArithOp::Add,
                             BinOp::Sub => ArithOp::Sub,
                             BinOp::Mul => ArithOp::Mul,
                             BinOp::Div => ArithOp::Div,
-                            BinOp::Mod => ArithOp::Mod,
-                            _ => unreachable!(),
+                            _ => ArithOp::Mod,
                         };
                         if l.kind().is_int() && r.kind().is_int() {
-                            Some(BExpr::IntArith { op: aop, l, r })
+                            BExpr::IntArith { op, l, r }
                         } else {
-                            Some(BExpr::FloatArith { op: aop, l, r })
+                            BExpr::FloatArith { op, l, r }
                         }
                     }
-                }
+                })
             }
             // UDFs (and the LOB pushdown behind them), UDAs, and nested
-            // aggregates stay on the row path.
+            // aggregates have no kernel.
             Expr::Func { .. } | Expr::UdaCall { .. } | Expr::Agg { .. } => None,
         }
     }
 
-    /// A bare blob-column reference, as a batch position.
-    fn blob_col(&mut self, e: &Expr) -> Option<usize> {
+    /// Compiles `e` entirely to kernels, or — when any node has no
+    /// kernel — entirely to one escape node.
+    pub(crate) fn expr(&mut self, e: &Expr) -> BExpr {
+        let mark = self.cols.len();
+        if let Some(k) = self.compile(e) {
+            return k;
+        }
+        // Drop the columns the abandoned kernel attempt registered, then
+        // register every column the interpreter may read.
+        self.cols.truncate(mark);
+        self.register_cols(e);
+        self.escaped = true;
+        BExpr::Row(e.clone())
+    }
+
+    fn register_cols(&mut self, e: &Expr) {
+        match e {
+            Expr::Col(name) => {
+                // An unknown column is the interpreter's per-row error.
+                if let Some(idx) = self.schema.col_index(name) {
+                    self.col_pos(idx);
+                }
+            }
+            Expr::Func { args, .. } | Expr::UdaCall { args, .. } => {
+                args.iter().for_each(|a| self.register_cols(a))
+            }
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    self.register_cols(a);
+                }
+            }
+            Expr::Neg(inner) | Expr::Not(inner) => self.register_cols(inner),
+            Expr::Bin { left, right, .. } => {
+                self.register_cols(left);
+                self.register_cols(right);
+            }
+            Expr::Lit(_) | Expr::Var(_) => {}
+        }
+    }
+
+    /// The schema index of a bare blob-column reference.
+    fn blob_idx(&self, e: &Expr) -> Option<usize> {
         let Expr::Col(name) = e else { return None };
         let idx = self.schema.col_index(name)?;
-        if self.schema.columns[idx].ctype != ColType::Blob {
-            return None;
+        (self.schema.columns[idx].ctype == ColType::Blob).then_some(idx)
+    }
+
+    pub(crate) fn finish(
+        self,
+        filter: Option<BExpr>,
+        group_by: Vec<BExpr>,
+        items: Vec<BItem>,
+    ) -> BatchPlan {
+        let leaf_aligned = self.escaped
+            || self
+                .cols
+                .iter()
+                .any(|&i| self.schema.columns[i].ctype == ColType::Blob);
+        BatchPlan {
+            cols: self.cols,
+            filter,
+            group_by,
+            items,
+            leaf_aligned,
         }
-        Some(self.col_pos(idx))
     }
 }
 
-/// Compiles a SELECT scan to a [`BatchPlan`], or `None` to run the
-/// row-at-a-time interpreter. This is the vectorized pipeline's single
-/// fallback seam — see the module docs for what compiles.
+/// Compiles a SELECT scan to its [`BatchPlan`] — see the module docs for
+/// what compiles to kernels and what escapes.
 pub(crate) fn plan_select(
     schema: &Schema,
     items: &[SelectItem],
@@ -296,61 +384,34 @@ pub(crate) fn plan_select(
     group_by: &[Expr],
     has_aggregate: bool,
     vars: &HashMap<String, Value>,
-) -> Option<BatchPlan> {
-    if !group_by.is_empty() {
-        return None;
-    }
-    let mut c = Compiler {
-        schema,
-        vars,
-        cols: Vec::new(),
-    };
-    let filter = match where_clause {
-        Some(w) => Some(c.compile(w)?),
-        None => None,
-    };
+) -> BatchPlan {
+    let mut c = Compiler::new(schema, vars);
+    let filter = where_clause.map(|w| c.expr(w));
+    let group_by = group_by.iter().map(|g| c.expr(g)).collect();
     let mut plan_items = Vec::with_capacity(items.len());
     for it in items {
         let item = if has_aggregate {
             match &it.expr {
                 Expr::Agg { func, arg } => {
-                    let barg = match (func, arg) {
-                        (AggFunc::CountStar, _) => None,
-                        (AggFunc::Count, Some(e)) => Some(match c.blob_col(e) {
-                            Some(pos) => BAggArg::Blob(pos),
-                            None => BAggArg::Scalar(c.compile(e)?),
-                        }),
-                        (AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max, Some(e)) => {
-                            Some(BAggArg::Scalar(c.compile(e)?))
-                        }
-                        _ => return None,
+                    let arg = match (func, arg) {
+                        (AggFunc::CountStar, _) | (_, None) => None,
+                        (AggFunc::Count, Some(e)) if c.blob_idx(e).is_some() => Some(BAggArg::Blob),
+                        (_, Some(e)) => Some(BAggArg::Scalar(c.expr(e))),
                     };
-                    BItem::Agg {
-                        func: *func,
-                        arg: barg,
-                    }
+                    BItem::Agg { func: *func, arg }
                 }
-                Expr::UdaCall { .. } => return None,
-                other => BItem::Plain(c.compile(other)?),
+                Expr::UdaCall { args, .. } => BItem::Uda(args.iter().map(|a| c.expr(a)).collect()),
+                other => BItem::Plain(c.expr(other)),
             }
         } else {
-            match c.blob_col(&it.expr) {
-                Some(pos) => BItem::ProjBlob(pos),
-                None => BItem::Proj(c.compile(&it.expr)?),
+            match c.blob_idx(&it.expr) {
+                Some(idx) => BItem::ProjBlob(c.col_pos(idx)),
+                None => BItem::Proj(c.expr(&it.expr)),
             }
         };
         plan_items.push(item);
     }
-    let leaf_aligned = c
-        .cols
-        .iter()
-        .any(|&i| schema.columns[i].ctype == ColType::Blob);
-    Some(BatchPlan {
-        cols: c.cols,
-        filter,
-        items: plan_items,
-        leaf_aligned,
-    })
+    c.finish(filter, group_by, plan_items)
 }
 
 /// A batch expression result: one value per *selected* row, dense.
@@ -361,6 +422,8 @@ pub(crate) enum BVal {
     F64(Vec<f64>),
     F32(Vec<f32>),
     Bool(Vec<bool>),
+    /// The escape node's per-row results.
+    Values(Vec<Value>),
 }
 
 impl BVal {
@@ -371,18 +434,22 @@ impl BVal {
             BVal::F64(v) => v.len(),
             BVal::F32(v) => v.len(),
             BVal::Bool(v) => v.len(),
+            BVal::Values(v) => v.len(),
         }
     }
 
-    /// The `i`-th value as an engine [`Value`], preserving the lane type
-    /// (an `INT` column stays `Value::I32`, like the row interpreter).
-    pub(crate) fn value_at(&self, i: usize) -> Value {
+    /// Moves the `i`-th value out as an engine [`Value`], preserving the
+    /// lane type (an `INT` column stays `Value::I32`, like the row
+    /// interpreter). Each dynamic value can be taken once; a second take
+    /// yields `NULL`.
+    pub(crate) fn take(&mut self, i: usize) -> Value {
         match self {
             BVal::I64(v) => Value::I64(v[i]),
             BVal::I32(v) => Value::I32(v[i]),
             BVal::F64(v) => Value::F64(v[i]),
             BVal::F32(v) => Value::F32(v[i]),
             BVal::Bool(v) => Value::Bool(v[i]),
+            BVal::Values(v) => std::mem::replace(&mut v[i], Value::Null),
         }
     }
 
@@ -401,71 +468,81 @@ impl BVal {
         }
     }
 
-    /// Lanes coerced to `f64` with the row path's `as_f64` semantics
+    /// Lanes coerced to `f64` with the interpreter's `as_f64` semantics
     /// (`BIT` → 0/1).
-    pub(crate) fn into_f64(self) -> Vec<f64> {
+    pub(crate) fn into_f64(self) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
         match self {
-            BVal::F64(v) => v,
-            BVal::I64(v) => {
-                let mut out = Vec::new();
-                b::f64_from_i64(&v, &mut out);
-                out
-            }
-            BVal::I32(v) => {
-                let mut out = Vec::new();
-                b::f64_from_i32(&v, &mut out);
-                out
-            }
-            BVal::F32(v) => {
-                let mut out = Vec::new();
-                b::f64_from_f32(&v, &mut out);
-                out
-            }
-            BVal::Bool(v) => {
-                let mut out = Vec::new();
-                b::f64_from_bool(&v, &mut out);
-                out
-            }
+            BVal::F64(v) => return Ok(v),
+            BVal::I64(v) => b::f64_from_i64(&v, &mut out),
+            BVal::I32(v) => b::f64_from_i32(&v, &mut out),
+            BVal::F32(v) => b::f64_from_f32(&v, &mut out),
+            BVal::Bool(v) => b::f64_from_bool(&v, &mut out),
+            BVal::Values(v) => return v.iter().map(Value::as_f64).collect(),
         }
+        Ok(out)
     }
 
     /// Lanes as row-path truthiness (nonzero → true).
     fn into_truthy(self) -> Vec<bool> {
+        let mut out = Vec::new();
         match self {
-            BVal::Bool(v) => v,
-            BVal::I64(v) => {
-                let mut out = Vec::new();
-                b::truthy_i64(&v, &mut out);
-                out
-            }
-            BVal::I32(v) => {
-                let mut out = Vec::new();
-                b::truthy_i32(&v, &mut out);
-                out
-            }
-            BVal::F64(v) => {
-                let mut out = Vec::new();
-                b::truthy_f64(&v, &mut out);
-                out
-            }
-            BVal::F32(v) => {
-                let mut out = Vec::new();
-                b::truthy_f32(&v, &mut out);
-                out
+            BVal::Bool(v) => return v,
+            BVal::I64(v) => b::truthy_i64(&v, &mut out),
+            BVal::I32(v) => b::truthy_i32(&v, &mut out),
+            BVal::F64(v) => b::truthy_f64(&v, &mut out),
+            BVal::F32(v) => b::truthy_f32(&v, &mut out),
+            BVal::Values(v) => return v.iter().map(Value::is_true).collect(),
+        }
+        out
+    }
+
+    /// Lanes as a strict DML predicate: anything but a boolean is the
+    /// typed error of [`crate::exec::strict_bool`], raised at the first
+    /// row that produced it.
+    fn into_strict(self, kind: &str) -> Result<Vec<bool>> {
+        match self {
+            BVal::Bool(v) => Ok(v),
+            BVal::Values(v) => v
+                .into_iter()
+                .map(|x| crate::exec::strict_bool(x, kind))
+                .collect(),
+            mut other => {
+                if other.len() > 0 {
+                    crate::exec::strict_bool(other.take(0), kind)?;
+                }
+                Ok(Vec::new())
             }
         }
     }
 }
 
+/// What evaluating a compiled expression reads: the batch, the plan's
+/// column map (for the escape node's [`RowCtx`]), and the evaluation
+/// environment (UDFs, hosting, variables, the worker's LOB reader).
+pub(crate) struct Cx<'c, 'e> {
+    pub schema: &'c Schema,
+    pub cols: &'c [usize],
+    pub batch: &'c Batch,
+    pub env: &'c mut EvalEnv<'e>,
+}
+
 /// Evaluates a filter over the current selection, refining `sel` in place
-/// (`scratch` is the swap buffer, reused across batches).
+/// (`scratch` is the swap buffer, reused across batches). `strict` names
+/// the DML statement kind whose WHERE clause must be boolean; `None`
+/// applies SELECT's truthiness.
 pub(crate) fn apply_filter(
     f: &BExpr,
-    batch: &Batch,
+    cx: &mut Cx<'_, '_>,
     sel: &mut Vec<u32>,
     scratch: &mut Vec<u32>,
+    strict: Option<&str>,
 ) -> Result<()> {
-    let flags = eval(f, batch, sel)?.into_truthy();
+    let vals = eval(f, cx, sel)?;
+    let flags = match strict {
+        Some(kind) => vals.into_strict(kind)?,
+        None => vals.into_truthy(),
+    };
     b::refine_selection(&flags, sel, scratch);
     std::mem::swap(sel, scratch);
     Ok(())
@@ -473,9 +550,9 @@ pub(crate) fn apply_filter(
 
 /// Evaluates a compiled expression over the selected rows of a batch,
 /// returning one dense value per selected row.
-pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
+pub(crate) fn eval(e: &BExpr, cx: &mut Cx<'_, '_>, sel: &[u32]) -> Result<BVal> {
     match e {
-        BExpr::Col { pos, .. } => match &batch.cols[*pos] {
+        BExpr::Col { pos, .. } => match &cx.batch.cols[*pos] {
             ColVec::I64(src) => {
                 let mut out = Vec::new();
                 b::gather_i64(src, sel, &mut out);
@@ -530,7 +607,7 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             b::splat(*x, sel.len(), &mut out);
             Ok(BVal::Bool(out))
         }
-        BExpr::Neg(inner) => match eval(inner, batch, sel)? {
+        BExpr::Neg(inner) => match eval(inner, cx, sel)? {
             BVal::I64(v) => {
                 let mut out = Vec::new();
                 b::neg_i64(&v, &mut out);
@@ -551,12 +628,12 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
                 b::neg_f32(&v, &mut out);
                 Ok(BVal::F32(out))
             }
-            BVal::Bool(_) => Err(EngineError::Type(
-                "batch plan error: negation of a boolean".into(),
-            )),
+            other => Err(EngineError::Type(format!(
+                "batch plan error: negation of {other:?}"
+            ))),
         },
         BExpr::Not(inner) => {
-            let t = eval(inner, batch, sel)?.into_truthy();
+            let t = eval(inner, cx, sel)?.into_truthy();
             let mut out = Vec::new();
             b::not_bool(&t, &mut out);
             Ok(BVal::Bool(out))
@@ -565,10 +642,10 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             // Per-row short-circuit via selection splitting: the right
             // side sees only rows where the left side was truthy, so its
             // errors (and only its errors) match the row interpreter.
-            let lt = eval(l, batch, sel)?.into_truthy();
+            let lt = eval(l, cx, sel)?.into_truthy();
             let mut rhs_sel = Vec::new();
             b::refine_selection(&lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel)?.into_truthy();
+            let rt = eval(r, cx, &rhs_sel)?.into_truthy();
             let mut out = Vec::with_capacity(lt.len());
             let mut j = 0usize;
             for &t in lt.iter() {
@@ -582,12 +659,12 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::Or(l, r) => {
-            let lt = eval(l, batch, sel)?.into_truthy();
+            let lt = eval(l, cx, sel)?.into_truthy();
             let mut not_lt = Vec::new();
             b::not_bool(&lt, &mut not_lt);
             let mut rhs_sel = Vec::new();
             b::refine_selection(&not_lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel)?.into_truthy();
+            let rt = eval(r, cx, &rhs_sel)?.into_truthy();
             let mut out = Vec::with_capacity(lt.len());
             let mut j = 0usize;
             for &t in lt.iter() {
@@ -601,8 +678,8 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::Cmp { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_f64();
-            let bv = eval(r, batch, sel)?.into_f64();
+            let a = eval(l, cx, sel)?.into_f64()?;
+            let bv = eval(r, cx, sel)?.into_f64()?;
             let mut out = Vec::new();
             if !b::cmp_f64(*op, &a, &bv, &mut out) {
                 return Err(EngineError::Type("NaN comparison".into()));
@@ -610,8 +687,8 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::IntArith { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_i64()?;
-            let bv = eval(r, batch, sel)?.into_i64()?;
+            let a = eval(l, cx, sel)?.into_i64()?;
+            let bv = eval(r, cx, sel)?.into_i64()?;
             let mut out = Vec::new();
             if !b::arith_i64(*op, &a, &bv, &mut out) {
                 return Err(EngineError::Type(match op {
@@ -623,11 +700,24 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::I64(out))
         }
         BExpr::FloatArith { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_f64();
-            let bv = eval(r, batch, sel)?.into_f64();
+            let a = eval(l, cx, sel)?.into_f64()?;
+            let bv = eval(r, cx, sel)?.into_f64()?;
             let mut out = Vec::new();
             b::arith_f64(*op, &a, &bv, &mut out);
             Ok(BVal::F64(out))
+        }
+        BExpr::Row(e) => {
+            let mut out = Vec::with_capacity(sel.len());
+            for &r in sel {
+                let row = RowCtx {
+                    schema: cx.schema,
+                    cols: cx.cols,
+                    batch: cx.batch,
+                    row: r as usize,
+                };
+                out.push(crate::expr::eval(e, Some(&row), cx.env)?);
+            }
+            Ok(BVal::Values(out))
         }
     }
 }
@@ -667,11 +757,7 @@ mod tests {
         HashMap::new()
     }
 
-    fn plan(
-        items: &[SelectItem],
-        where_clause: Option<&Expr>,
-        has_aggregate: bool,
-    ) -> Option<BatchPlan> {
+    fn plan(items: &[SelectItem], where_clause: Option<&Expr>, has_aggregate: bool) -> BatchPlan {
         plan_select(
             &scalar_schema(),
             items,
@@ -702,7 +788,7 @@ mod tests {
                 Expr::Lit(Value::F64(2.0)),
             )),
         ];
-        let p = plan(&items, Some(&wh), false).expect("should compile");
+        let p = plan(&items, Some(&wh), false);
         // Columns registered in first-use order: n (filter), x, id.
         assert_eq!(p.cols, vec![1, 2, 0]);
         assert!(!p.leaf_aligned);
@@ -710,58 +796,96 @@ mod tests {
         assert_eq!(p.items.len(), 2);
     }
 
+    fn is_row(e: &BExpr) -> bool {
+        matches!(e, BExpr::Row(_))
+    }
+
     #[test]
-    fn fallback_cases() {
-        // UDF call → row path.
-        let udf = item(Expr::Func {
+    fn escape_cases() {
+        // UDF call → one escape node, reading its argument's column.
+        let udf = Expr::Func {
             name: "dbo.F".into(),
             args: vec![Expr::Col("x".into())],
-        });
-        assert!(plan(&[udf], None, false).is_none());
-        // GROUP BY → row path.
-        assert!(plan_select(
+        };
+        let p = plan(&[item(udf.clone())], None, false);
+        assert!(matches!(&p.items[0], BItem::Proj(e) if is_row(e)));
+        assert_eq!(p.cols, vec![2]);
+        assert!(p.leaf_aligned, "escape nodes keep LOB reads per leaf");
+        // A UDF under AND escapes the whole filter; the kernel attempt's
+        // columns are re-registered in interpreter order.
+        let wh = bin(
+            BinOp::And,
+            bin(BinOp::Gt, Expr::Col("n".into()), Expr::Lit(Value::I64(0))),
+            udf,
+        );
+        let p = plan(&[item(Expr::Col("id".into()))], Some(&wh), false);
+        assert!(p.filter.as_ref().is_some_and(is_row));
+        assert_eq!(p.cols, vec![1, 2, 0]);
+        // GROUP BY compiles its keys like any other expression.
+        let p = plan_select(
             &scalar_schema(),
             &[item(Expr::Agg {
                 func: AggFunc::CountStar,
-                arg: None
+                arg: None,
             })],
             None,
             &[Expr::Col("n".into())],
             true,
             &no_vars(),
-        )
-        .is_none());
-        // String literal comparison → row path.
-        let wh = bin(
-            BinOp::Eq,
-            Expr::Col("id".into()),
-            Expr::Lit(Value::Str("x".into())),
         );
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // Missing session variable → row path (error parity).
-        let wh = bin(BinOp::Gt, Expr::Col("x".into()), Expr::Var("gone".into()));
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // Blob column inside a computed expression → row path.
-        let wh = bin(BinOp::Eq, Expr::Col("v".into()), Expr::Col("v".into()));
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // SUM over a blob column → row path.
-        assert!(plan(
-            &[item(Expr::Agg {
-                func: AggFunc::Sum,
-                arg: Some(Box::new(Expr::Col("v".into())))
-            })],
+        assert!(matches!(p.group_by[..], [BExpr::Col { pos: 0, .. }]));
+        assert!(!p.leaf_aligned);
+        // String literal comparison, missing session variable, NULL
+        // literal, blob column inside an expression, `-(bool)`: escape.
+        for wh in [
+            bin(
+                BinOp::Eq,
+                Expr::Col("id".into()),
+                Expr::Lit(Value::Str("x".into())),
+            ),
+            bin(BinOp::Gt, Expr::Col("x".into()), Expr::Var("gone".into())),
+            bin(BinOp::Gt, Expr::Col("x".into()), Expr::Lit(Value::Null)),
+            bin(BinOp::Eq, Expr::Col("v".into()), Expr::Col("v".into())),
+            Expr::Neg(Box::new(bin(
+                BinOp::Gt,
+                Expr::Col("x".into()),
+                Expr::Lit(Value::I64(0)),
+            ))),
+        ] {
+            let p = plan(&[item(Expr::Col("id".into()))], Some(&wh), false);
+            assert!(p.filter.as_ref().is_some_and(is_row), "{wh:?}");
+        }
+        // SUM over a blob column and UDA arguments escape per argument.
+        let p = plan(
+            &[
+                item(Expr::Agg {
+                    func: AggFunc::Sum,
+                    arg: Some(Box::new(Expr::Col("v".into()))),
+                }),
+                item(Expr::UdaCall {
+                    name: "dbo.U".into(),
+                    args: vec![Expr::Col("v".into()), Expr::Col("n".into())],
+                }),
+            ],
             None,
             true,
-        )
-        .is_none());
+        );
+        assert!(matches!(
+            &p.items[0],
+            BItem::Agg { arg: Some(BAggArg::Scalar(e)), .. } if is_row(e)
+        ));
+        assert!(matches!(
+            &p.items[1],
+            BItem::Uda(args) if is_row(&args[0]) && !is_row(&args[1])
+        ));
     }
 
     #[test]
     fn blob_projection_sets_leaf_aligned() {
-        let p = plan(&[item(Expr::Col("v".into()))], None, false).expect("should compile");
+        let p = plan(&[item(Expr::Col("v".into()))], None, false);
         assert!(p.leaf_aligned);
         assert!(matches!(p.items[0], BItem::ProjBlob(0)));
-        // COUNT(v) compiles too — null-ness only.
+        // COUNT(v) needs null-ness only: the blob is not even decoded.
         let p = plan(
             &[item(Expr::Agg {
                 func: AggFunc::Count,
@@ -769,14 +893,13 @@ mod tests {
             })],
             None,
             true,
-        )
-        .expect("should compile");
-        assert!(p.leaf_aligned);
+        );
+        assert!(p.cols.is_empty() && !p.leaf_aligned);
         assert!(matches!(
             p.items[0],
             BItem::Agg {
                 func: AggFunc::Count,
-                arg: Some(BAggArg::Blob(0)),
+                arg: Some(BAggArg::Blob),
             }
         ));
     }
@@ -794,6 +917,31 @@ mod tests {
 
     fn all(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
+    }
+
+    /// Runs `f` with a context over `batch`, whose columns are schema
+    /// columns `id` and `x`, and an empty environment.
+    fn with_cx<T>(batch: &Batch, f: impl FnOnce(&mut Cx<'_, '_>) -> T) -> T {
+        let schema = scalar_schema();
+        let udfs = crate::udf::UdfRegistry::new();
+        let mut hosting = crate::hosting::HostingModel::free();
+        let vars = no_vars();
+        let mut env = EvalEnv {
+            udfs: &udfs,
+            hosting: &mut hosting,
+            vars: &vars,
+            lobs: None,
+        };
+        f(&mut Cx {
+            schema: &schema,
+            cols: &[0, 2],
+            batch,
+            env: &mut env,
+        })
+    }
+
+    fn eval_k(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
+        with_cx(batch, |cx| eval(e, cx, sel))
     }
 
     #[test]
@@ -814,7 +962,7 @@ mod tests {
             l: Box::new(col0.clone()),
             r: Box::new(BExpr::LitI64(i64::MAX)),
         };
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_k(&e, &batch, &sel).unwrap() {
             BVal::I64(v) => assert_eq!(v, vec![i64::MIN, i64::MIN + 1, i64::MIN + 2, i64::MIN + 3]),
             other => panic!("expected I64, got {other:?}"),
         }
@@ -824,7 +972,7 @@ mod tests {
             l: Box::new(col0.clone()),
             r: Box::new(col1.clone()),
         };
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_k(&e, &batch, &sel).unwrap() {
             BVal::F64(v) => assert_eq!(v, vec![0.5, 3.0, -6.0, 0.0]),
             other => panic!("expected F64, got {other:?}"),
         }
@@ -834,17 +982,17 @@ mod tests {
             l: Box::new(col1.clone()),
             r: Box::new(BExpr::LitF64(0.0)),
         };
-        match eval(&e, &batch, &[1, 3]).unwrap() {
+        match eval_k(&e, &batch, &[1, 3]).unwrap() {
             BVal::Bool(v) => assert_eq!(v, vec![true, false]),
             other => panic!("expected Bool, got {other:?}"),
         }
-        // Division by zero raises the row path's message.
+        // Division by zero raises the interpreter's message.
         let e = BExpr::IntArith {
             op: ArithOp::Div,
             l: Box::new(col0.clone()),
             r: Box::new(BExpr::LitI64(0)),
         };
-        let err = eval(&e, &batch, &sel).unwrap_err();
+        let err = eval_k(&e, &batch, &sel).unwrap_err();
         assert!(err.to_string().contains("integer division by zero"));
     }
 
@@ -857,7 +1005,7 @@ mod tests {
             kind: VKind::I64,
         };
         // (c0 > 2) AND (1 / (c0 - 2) > 0): the rhs divides by zero at
-        // lane 1 (value 2), but that lane fails the lhs — the row path
+        // lane 1 (value 2), but that lane fails the lhs — the interpreter
         // never evaluates it, so neither must the batch path.
         let lhs = BExpr::Cmp {
             op: CmpOp::Gt,
@@ -880,14 +1028,14 @@ mod tests {
         // Lanes passing lhs: values 3, 4 → rhs divisors 1, 2 → no error,
         // and 1/1 > 0 but 1/2 = 0 is not.
         let e = BExpr::And(Box::new(lhs.clone()), Box::new(rhs.clone()));
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_k(&e, &batch, &sel).unwrap() {
             BVal::Bool(v) => assert_eq!(v, vec![false, false, true, false]),
             other => panic!("expected Bool, got {other:?}"),
         }
         // Flip to OR: now the rhs runs on lanes 1, 2 (divisors -1, 0) and
-        // the zero divisor *is* evaluated → error, same as the row path.
+        // the zero divisor *is* evaluated → error, same as the interpreter.
         let e = BExpr::Or(Box::new(lhs), Box::new(rhs));
-        assert!(eval(&e, &batch, &sel).is_err());
+        assert!(eval_k(&e, &batch, &sel).is_err());
     }
 
     #[test]
@@ -904,7 +1052,10 @@ mod tests {
             }),
             r: Box::new(BExpr::LitF64(0.0)),
         };
-        apply_filter(&f, &batch, &mut sel, &mut scratch).unwrap();
+        with_cx(&batch, |cx| {
+            apply_filter(&f, cx, &mut sel, &mut scratch, None)
+        })
+        .unwrap();
         assert_eq!(sel, vec![0, 1]);
         // A second filter composes over the refined selection.
         let f2 = BExpr::Cmp {
@@ -915,18 +1066,68 @@ mod tests {
             }),
             r: Box::new(BExpr::LitI64(2)),
         };
-        apply_filter(&f2, &batch, &mut sel, &mut scratch).unwrap();
+        with_cx(&batch, |cx| {
+            apply_filter(&f2, cx, &mut sel, &mut scratch, None)
+        })
+        .unwrap();
         assert_eq!(sel, vec![1]);
     }
 
     #[test]
-    fn value_at_preserves_lane_types() {
-        let v = BVal::I32(vec![7]);
-        assert_eq!(v.value_at(0), Value::I32(7));
-        let v = BVal::F32(vec![1.5]);
-        assert_eq!(v.value_at(0), Value::F32(1.5));
-        let v = BVal::Bool(vec![true]);
-        assert_eq!(v.value_at(0), Value::Bool(true));
+    fn take_preserves_lane_types() {
+        assert_eq!(BVal::I32(vec![7]).take(0), Value::I32(7));
+        assert_eq!(BVal::F32(vec![1.5]).take(0), Value::F32(1.5));
+        assert_eq!(BVal::Bool(vec![true]).take(0), Value::Bool(true));
+        let mut v = BVal::Values(vec![Value::Str("s".into())]);
+        assert_eq!(v.take(0), Value::Str("s".into()));
+        assert_eq!(v.take(0), Value::Null, "dynamic values move out once");
+    }
+
+    #[test]
+    fn escape_node_reads_lanes_of_selected_rows() {
+        let batch = test_batch();
+        // id + x, evaluated by the interpreter over rows 1 and 2 only.
+        let e = BExpr::Row(bin(
+            BinOp::Add,
+            Expr::Col("id".into()),
+            Expr::Col("x".into()),
+        ));
+        match eval_k(&e, &batch, &[1, 2]).unwrap() {
+            BVal::Values(v) => assert_eq!(v, vec![Value::F64(3.5), Value::F64(1.0)]),
+            other => panic!("expected Values, got {other:?}"),
+        }
+        // A column the plan did not decode is an error, not a guess.
+        let e = BExpr::Row(Expr::Col("n".into()));
+        assert!(eval_k(&e, &batch, &[0]).is_err());
+    }
+
+    #[test]
+    fn strict_filters_demand_booleans() {
+        let batch = test_batch();
+        let mut scratch = Vec::new();
+        let col0 = BExpr::Col {
+            pos: 0,
+            kind: VKind::I64,
+        };
+        let mut sel = all(4);
+        let err = with_cx(&batch, |cx| {
+            apply_filter(&col0, cx, &mut sel, &mut scratch, Some("DELETE"))
+        })
+        .unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("must evaluate to a boolean, got BIGINT"));
+        // Truthiness under SELECT semantics; an empty selection never errs.
+        with_cx(&batch, |cx| {
+            apply_filter(&col0, cx, &mut sel, &mut scratch, None)
+        })
+        .unwrap();
+        assert_eq!(sel, all(4));
+        sel.clear();
+        with_cx(&batch, |cx| {
+            apply_filter(&col0, cx, &mut sel, &mut scratch, Some("DELETE"))
+        })
+        .unwrap();
     }
 
     #[test]
@@ -946,6 +1147,6 @@ mod tests {
             pos: 0,
             kind: VKind::I64,
         };
-        assert!(eval(&e, &batch, &[0]).is_err());
+        assert!(eval_k(&e, &batch, &[0]).is_err());
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! ## The parallel pipeline
 //!
-//! Every `FROM` query runs the same plan regardless of DOP:
+//! Every `FROM` statement — SELECT and the match phase of UPDATE/DELETE —
+//! runs the same batch scan (the `batch` module) regardless of DOP:
 //!
 //! 1. [`Table::partition`] splits the clustered index into at most
 //!    `ExecCtx::dop` contiguous leaf-page ranges (key order preserved);
@@ -16,11 +17,12 @@
 //!    simulated I/O classifies against the start-of-scan residency
 //!    snapshot in [`sqlarray_storage::ScanCtx`];
 //! 3. worker partials merge **in partition order**: projection rows
-//!    concatenate (and truncate to `TOP`), groups combine accumulator by
-//!    accumulator (exact-sum merge for `SUM`/`AVG`, `Merge()`-style state
-//!    merge for UDAs), and per-worker [`IoStats`]/hosting counters fold
-//!    back through [`sqlarray_storage::PageStore::finish_scan`], which
-//!    stitches the sequential/random classification across partition
+//!    and DML matches concatenate (projections truncate to `TOP`), groups
+//!    combine accumulator by accumulator (exact-sum merge for `SUM`/`AVG`,
+//!    `Merge()`-style state merge for UDAs), and per-worker
+//!    [`IoStats`]/hosting counters fold back through
+//!    [`sqlarray_storage::PageStore::finish_scan`], which stitches the
+//!    sequential/random classification across partition
 //!    boundaries and advances the simulated disk head to the scan's last
 //!    *physical* read.
 //!
@@ -30,11 +32,13 @@
 //! UDA state merges in partition order.
 
 use crate::aggregate::{UdaMode, UdaRegistry, UdaState};
-use crate::expr::{eval, AggFunc, EvalEnv, Expr, RowCtx};
+use crate::batch::{BExpr, BItem, BVal, BatchPlan, Cx};
+use crate::expr::{eval, AggFunc, EvalEnv, Expr};
 use crate::hosting::HostingModel;
 use crate::tsql::{DeleteStmt, SelectItem, SelectStmt, UpdateStmt};
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
+use sqlarray_core::batch::ColVec;
 use sqlarray_core::exact::ExactSum;
 use sqlarray_core::parallel::scoped_map_ranges;
 use sqlarray_core::stream::ArrayReader;
@@ -43,6 +47,7 @@ use sqlarray_storage::{
     BlobStream, ColType, Column, IoStats, PageStore, RowValue, ScanCtx, ScanIo, ScanPartition,
     Schema, Table,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -52,15 +57,14 @@ pub const DEFAULT_ROW_LIMIT: usize = 100_000;
 /// Per-query measurements — the raw numbers behind a Table 1 row.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
-    /// Rows the scan visited (before WHERE), summed over workers. Under
-    /// `TOP`-style early termination this can differ between DOPs (each
-    /// worker stops independently); result rows never do. The vectorized
-    /// path counts a whole batch when it is handed to the filter, so under
-    /// `TOP` it can run slightly ahead of the row-at-a-time count.
+    /// Rows the scan visited (before WHERE), summed over workers; a whole
+    /// batch counts when it is handed to the filter. Under `TOP`-style
+    /// early termination this can differ between DOPs and batch sizes
+    /// (each worker stops independently); result rows never do.
     pub rows_scanned: u64,
-    /// Column batches the vectorized scan produced, summed over workers.
-    /// 0 when the query ran the row-at-a-time path (fallback or batch
-    /// execution disabled).
+    /// Column batches the scan produced, summed over workers. Every
+    /// `FROM` scan — SELECT, UPDATE and DELETE alike — runs on batches;
+    /// 0 only for a statement without a scan.
     pub batches: u64,
     /// Mean rows per batch (`rows_scanned / batches`); 0 when no batches
     /// ran. Full batches (≈ the configured batch size) mean the scan
@@ -196,8 +200,8 @@ pub struct ExecCtx<'a> {
     pub row_limit: usize,
     /// Maximum degree of parallelism for scans (≥ 1).
     pub dop: usize,
-    /// Target rows per column batch for vectorized scans; 0 disables
-    /// batch execution entirely (every query runs row-at-a-time).
+    /// Target rows per column batch (0 is treated as 1). A size knob
+    /// only: every value runs the same pipeline.
     pub batch_rows: usize,
     /// This statement's compiled-plan slot in the engine's plan cache,
     /// when the statement came through it. `None` (ad-hoc execution)
@@ -233,6 +237,9 @@ pub struct DmlCtx<'a> {
     pub vars: &'a HashMap<String, Value>,
     /// Maximum degree of parallelism for the match-phase scan (≥ 1).
     pub dop: usize,
+    /// Target rows per column batch of the match-phase scan (0 is
+    /// treated as 1).
+    pub batch_rows: usize,
     /// The statement's lifecycle context. Polled throughout the parallel
     /// match phase; the serial apply phase deliberately ignores it — once
     /// the first page mutates, the statement runs to its commit, so an
@@ -331,7 +338,6 @@ impl GroupKey {
 enum ItemAcc {
     Agg {
         func: AggFunc,
-        arg: Option<Expr>,
         count: u64,
         /// `SUM`/`AVG` accumulate exactly so that partials combine without
         /// rounding: any partitioning of the rows yields the same result.
@@ -339,134 +345,47 @@ enum ItemAcc {
         min: Option<Value>,
         max: Option<Value>,
     },
-    Uda {
-        args: Vec<Expr>,
-        state: Box<dyn UdaState>,
-    },
-    Plain {
-        expr: Expr,
-        value: Option<Value>,
-    },
+    Uda(Box<dyn UdaState>),
+    /// A non-aggregate item: the value at the group's first row.
+    Plain(Option<Value>),
 }
 
-fn make_acc(item_expr: &Expr, udas: &UdaRegistry) -> Result<ItemAcc> {
-    Ok(match item_expr {
-        Expr::Agg { func, arg } => ItemAcc::Agg {
-            func: *func,
-            arg: arg.as_deref().cloned(),
-            count: 0,
-            sum: ExactSum::new(),
-            min: None,
-            max: None,
-        },
-        Expr::UdaCall { name, args } => ItemAcc::Uda {
-            args: args.clone(),
-            state: udas.create(name)?,
-        },
-        other => ItemAcc::Plain {
-            expr: other.clone(),
-            value: None,
-        },
-    })
+/// One fresh accumulator row for a new group.
+fn make_accs(items: &[SelectItem], udas: &UdaRegistry) -> Result<Vec<ItemAcc>> {
+    items
+        .iter()
+        .map(|it| {
+            Ok(match &it.expr {
+                Expr::Agg { func, .. } => ItemAcc::Agg {
+                    func: *func,
+                    count: 0,
+                    sum: ExactSum::new(),
+                    min: None,
+                    max: None,
+                },
+                Expr::UdaCall { name, .. } => ItemAcc::Uda(udas.create(name)?),
+                _ => ItemAcc::Plain(None),
+            })
+        })
+        .collect()
+}
+
+/// Keeps `cand` in `cur` when `cur` is empty or `cand` orders `want`
+/// against it (`Less` for MIN, `Greater` for MAX).
+fn keep_extreme(cur: &mut Option<Value>, cand: Value, want: Ordering) -> Result<()> {
+    let replace = match cur {
+        None => true,
+        Some(c) => crate::expr::compare(&cand, c)? == want,
+    };
+    if replace {
+        *cur = Some(cand);
+    }
+    Ok(())
 }
 
 impl ItemAcc {
-    fn accumulate(
-        &mut self,
-        row: &RowCtx<'_>,
-        env: &mut EvalEnv<'_>,
-        uda_mode: UdaMode,
-    ) -> Result<()> {
-        match self {
-            ItemAcc::Agg {
-                func,
-                arg,
-                count,
-                sum,
-                min,
-                max,
-            } => {
-                let v = match arg {
-                    Some(e) => Some(eval(e, Some(row), env)?),
-                    None => None,
-                };
-                if matches!(func, AggFunc::CountStar) {
-                    *count += 1;
-                    return Ok(());
-                }
-                // lint:allow(L005, reason = "the planner rejects argument-less aggregates other than COUNT(*) at bind time, and the CountStar arm returned above")
-                let mut v = v.expect("non-COUNT(*) aggregates have an argument");
-                if v.is_null() {
-                    return Ok(());
-                }
-                // MIN/MAX order blobs bytewise and SUM/AVG need a numeric
-                // view, so a lazy LOB argument behaves exactly like its
-                // inline counterpart: materialize it. COUNT only needs
-                // null-ness (a LOB reference is never NULL) — skip the
-                // read there.
-                if !matches!(func, AggFunc::Count) {
-                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                }
-                *count += 1;
-                match func {
-                    AggFunc::Sum | AggFunc::Avg => sum.add(v.as_f64()?),
-                    AggFunc::Min => {
-                        let replace = match min {
-                            None => true,
-                            Some(cur) => crate::expr::compare(&v, cur)? == std::cmp::Ordering::Less,
-                        };
-                        if replace {
-                            *min = Some(v);
-                        }
-                    }
-                    AggFunc::Max => {
-                        let replace = match max {
-                            None => true,
-                            Some(cur) => {
-                                crate::expr::compare(&v, cur)? == std::cmp::Ordering::Greater
-                            }
-                        };
-                        if replace {
-                            *max = Some(v);
-                        }
-                    }
-                    AggFunc::Count | AggFunc::CountStar => {}
-                }
-                Ok(())
-            }
-            ItemAcc::Uda { args, state, .. } => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    let mut v = eval(a, Some(row), env)?;
-                    // UDA accumulate bodies take bytes, not references:
-                    // materialize lazy LOB arguments here.
-                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                    argv.push(v);
-                }
-                if uda_mode == UdaMode::StreamSerialized {
-                    let buf = state.serialize_state();
-                    state.load_state(&buf)?;
-                }
-                // Each UDA row hop is a managed call, like the CLR
-                // aggregate interface.
-                env.hosting.charge_call();
-                state.accumulate(&argv)
-            }
-            ItemAcc::Plain { expr, value } => {
-                if value.is_none() {
-                    let mut v = eval(expr, Some(row), env)?;
-                    // The value outlives the row scan: materialize lazy
-                    // LOB references while the worker's reader is live.
-                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                    *value = Some(v);
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Folds the partial state of a *later* partition into this one. Both
-    /// sides were built by [`make_acc`] from the same select item, so the
+    /// sides were built by [`make_accs`] from the same select list, so the
     /// variants always line up.
     fn combine(&mut self, other: ItemAcc) -> Result<()> {
         match (self, other) {
@@ -489,29 +408,15 @@ impl ItemAcc {
                 *count += oc;
                 sum.merge(&os);
                 if let Some(ov) = omin {
-                    let replace = match &*min {
-                        None => true,
-                        Some(cur) => crate::expr::compare(&ov, cur)? == std::cmp::Ordering::Less,
-                    };
-                    if replace {
-                        *min = Some(ov);
-                    }
+                    keep_extreme(min, ov, Ordering::Less)?;
                 }
                 if let Some(ov) = omax {
-                    let replace = match &*max {
-                        None => true,
-                        Some(cur) => crate::expr::compare(&ov, cur)? == std::cmp::Ordering::Greater,
-                    };
-                    if replace {
-                        *max = Some(ov);
-                    }
+                    keep_extreme(max, ov, Ordering::Greater)?;
                 }
                 Ok(())
             }
-            (ItemAcc::Uda { state, .. }, ItemAcc::Uda { state: os, .. }) => {
-                state.merge_state(&os.serialize_state())
-            }
-            (ItemAcc::Plain { value, .. }, ItemAcc::Plain { value: ov, .. }) => {
+            (ItemAcc::Uda(state), ItemAcc::Uda(os)) => state.merge_state(&os.serialize_state()),
+            (ItemAcc::Plain(value), ItemAcc::Plain(ov)) => {
                 // The serial semantics keep the first row's value; partials
                 // merge in partition (scan) order, so an earlier Some wins.
                 if value.is_none() {
@@ -533,7 +438,6 @@ impl ItemAcc {
                 sum,
                 min,
                 max,
-                ..
             } => Ok(match func {
                 AggFunc::CountStar | AggFunc::Count => Value::I64(*count as i64),
                 AggFunc::Sum => {
@@ -553,9 +457,81 @@ impl ItemAcc {
                 AggFunc::Min => min.take().unwrap_or(Value::Null),
                 AggFunc::Max => max.take().unwrap_or(Value::Null),
             }),
-            ItemAcc::Uda { state, .. } => state.terminate(),
-            ItemAcc::Plain { value, .. } => Ok(value.take().unwrap_or(Value::Null)),
+            ItemAcc::Uda(state) => state.terminate(),
+            ItemAcc::Plain(value) => Ok(value.take().unwrap_or(Value::Null)),
         }
+    }
+}
+
+/// Aggregation state: groups in first-appearance order, with their
+/// encoded keys. A worker builds one per partition; the coordinator
+/// merges them in partition order.
+#[derive(Default)]
+struct Groups {
+    index: HashMap<GroupKey, usize>,
+    keys: Vec<GroupKey>,
+    accs: Vec<Vec<ItemAcc>>,
+}
+
+impl Groups {
+    fn insert(&mut self, key: GroupKey, accs: Vec<ItemAcc>) -> usize {
+        let i = self.accs.len();
+        self.index.insert(key.clone(), i);
+        self.keys.push(key);
+        self.accs.push(accs);
+        i
+    }
+
+    /// Folds the groups of a *later* partition into this state.
+    fn absorb(&mut self, other: Groups) -> Result<()> {
+        for (key, theirs) in other.keys.into_iter().zip(other.accs) {
+            match self.index.get(&key) {
+                Some(&i) => {
+                    for (mine, t) in self.accs[i].iter_mut().zip(theirs) {
+                        mine.combine(t)?;
+                    }
+                }
+                None => {
+                    self.insert(key, theirs);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The groups one batch touched, in first-touch order, each with its
+/// selected rows in row order. Buffers are reused across batches.
+#[derive(Default)]
+struct Touched {
+    /// `slot[g]`: position of group `g` in `groups`, or `usize::MAX`.
+    slot: Vec<usize>,
+    groups: Vec<usize>,
+    rows: Vec<Vec<u32>>,
+}
+
+impl Touched {
+    fn clear(&mut self) {
+        for &g in &self.groups {
+            self.slot[g] = usize::MAX;
+        }
+        self.groups.clear();
+    }
+
+    fn push(&mut self, g: usize, row: u32) {
+        if g >= self.slot.len() {
+            self.slot.resize(g + 1, usize::MAX);
+        }
+        if self.slot[g] == usize::MAX {
+            let s = self.groups.len();
+            if self.rows.len() == s {
+                self.rows.push(Vec::new());
+            }
+            self.rows[s].clear();
+            self.slot[g] = s;
+            self.groups.push(g);
+        }
+        self.rows[self.slot[g]].push(row);
     }
 }
 
@@ -586,35 +562,35 @@ struct WorkerScan {
 enum WorkerOut {
     /// Projection rows, in key order, capped at the limit.
     Rows(Vec<Vec<Value>>),
-    /// Aggregate groups in first-appearance order, with their encoded
-    /// group keys.
-    Groups {
-        keys: Vec<GroupKey>,
-        accs: Vec<Vec<ItemAcc>>,
+    /// Aggregate groups.
+    Groups(Groups),
+    /// DML matches: clustered key and SET values, in key order.
+    Matched(Vec<(i64, Vec<SetValue>)>),
+}
+
+/// What a scan does with the rows its filter passes.
+enum Sink<'a> {
+    /// Projection, capped at `limit` rows.
+    Project { limit: usize },
+    /// Aggregation into [`Groups`].
+    Aggregate(AggSpec<'a>),
+    /// The match phase of a DML statement; `kind` names the statement in
+    /// the strict-WHERE error.
+    Match {
+        kind: &'static str,
+        sets: &'a [SetItem],
     },
 }
 
-/// Immutable scan context shared by all workers of one query.
+/// Immutable scan context shared by all workers of one statement.
 struct ScanJob<'a> {
     table: &'a Table,
-    schema: &'a Schema,
-    store: &'a PageStore,
-    scan: &'a ScanCtx,
-    items: &'a [SelectItem],
-    where_clause: Option<&'a Expr>,
-    group_by: &'a [Expr],
-    has_aggregate: bool,
-    limit: usize,
-    udfs: &'a UdfRegistry,
-    udas: &'a UdaRegistry,
-    vars: &'a HashMap<String, Value>,
-    uda_mode: UdaMode,
-    /// The compiled vectorized plan, when every expression compiled
-    /// ([`crate::batch::plan_select`]); `None` runs the row-at-a-time
-    /// interpreter. This is the executor side of the fallback seam.
-    batch_plan: Option<&'a crate::batch::BatchPlan>,
-    /// Target rows per batch (≥ 1 whenever `batch_plan` is `Some`).
+    plan: &'a BatchPlan,
+    /// Target rows per batch (≥ 1).
     batch_rows: usize,
+    udfs: &'a UdfRegistry,
+    vars: &'a HashMap<String, Value>,
+    sink: Sink<'a>,
 }
 
 /// Renders a caught panic payload for [`EngineError::WorkerPanicked`].
@@ -630,6 +606,104 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Counters of one fanned-out scan, folded over its workers.
+#[derive(Default)]
+struct ScanTotals {
+    rows_scanned: u64,
+    batches: u64,
+    /// Summed worker busy time.
+    cpu_seconds: f64,
+    /// The longest worker's busy time.
+    max_busy: f64,
+    /// Workers used (1 for a statement without a scan).
+    dop: usize,
+}
+
+/// Runs `job` over the partitions — one worker per partition, inline on
+/// the calling thread for one — and folds every worker's counters back,
+/// including those of a worker whose body errored: the reads it performed
+/// are already in the live pool, so they must be in the counters too.
+/// Outputs come back in partition (key) order, or the first error.
+fn run_scan(
+    store: &PageStore,
+    hosting: &mut HostingModel,
+    query: &sqlarray_core::QueryCtx,
+    parts: &[ScanPartition],
+    job: &ScanJob<'_>,
+) -> (ScanTotals, Result<Vec<WorkerOut>>) {
+    let scan = store.begin_scan_for(query.clone());
+    // Singleton ranges through the workspace helper: with a single
+    // partition it runs inline, so the serial plan is literally the
+    // parallel plan at width 1 and both sides of the determinism
+    // guarantee share this code.
+    let parent: &HostingModel = hosting;
+    let scan_ref = &scan;
+    let workers: Vec<WorkerScan> = scoped_map_ranges(parts.len(), parts.len(), |r| {
+        r.map(|pi| scan_worker(job, store, scan_ref, &parts[pi], pi as u32, parent.fork()))
+            .collect::<Vec<WorkerScan>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    drop(scan);
+
+    let mut totals = ScanTotals {
+        dop: parts.len(),
+        ..ScanTotals::default()
+    };
+    let mut scan_ios: Vec<ScanIo> = Vec::with_capacity(workers.len());
+    let mut outs: Result<Vec<WorkerOut>> = Ok(Vec::with_capacity(workers.len()));
+    for w in workers {
+        totals.rows_scanned += w.rows_scanned;
+        totals.batches += w.batches;
+        scan_ios.push(w.scan_io);
+        hosting.absorb(w.calls, w.charged_ns);
+        // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
+        totals.cpu_seconds += w.busy_seconds;
+        totals.max_busy = totals.max_busy.max(w.busy_seconds);
+        match (w.out, &mut outs) {
+            (Ok(out), Ok(all)) => all.push(out),
+            (Err(e), Ok(_)) => outs = Err(e),
+            (_, Err(_)) => {}
+        }
+    }
+    // The live pool already saw every worker touch; this merges the
+    // counters (with cross-partition classification stitching) and
+    // advances the simulated head to the last physical read.
+    store.finish_scan(scan_ios.iter());
+    (totals, outs)
+}
+
+/// A statement's measurements from its scan counters.
+fn query_stats(
+    store: &PageStore,
+    io_before: &IoStats,
+    hosting: &HostingModel,
+    scan: &ScanTotals,
+    cpu_seconds: f64,
+    wall_seconds: f64,
+    rows_affected: u64,
+) -> QueryStats {
+    let io = store.stats().since(io_before);
+    QueryStats {
+        rows_scanned: scan.rows_scanned,
+        batches: scan.batches,
+        batch_fill: if scan.batches > 0 {
+            scan.rows_scanned as f64 / scan.batches as f64
+        } else {
+            0.0
+        },
+        udf_calls: hosting.calls(),
+        udf_overhead_ns: hosting.charged_ns(),
+        cpu_seconds,
+        wall_seconds,
+        dop: scan.dop,
+        sim_io_seconds: store.profile().io_seconds(&io),
+        io,
+        rows_affected,
+    }
+}
+
 /// Runs one partition to completion on the current thread. Workers share
 /// nothing mutable: each owns its reader, hosting fork, and accumulators.
 /// The body runs under [`sqlarray_core::parallel::with_serial_kernels`]:
@@ -637,61 +711,61 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// array kernels its expressions call — elementwise ops, `fftn`, and the
 /// dense linalg kernels (`gemm`, SVD, PCA) alike — must not fan out
 /// again.
-fn scan_worker(
-    job: &ScanJob<'_>,
-    part: &ScanPartition,
-    partition_index: u32,
-    hosting: HostingModel,
-) -> WorkerScan {
-    sqlarray_core::parallel::with_serial_kernels(|| {
-        scan_worker_inner(job, part, partition_index, hosting)
-    })
-}
-
+///
 /// Always returns a [`WorkerScan`], even when the partition body errors:
 /// the worker's reads already landed in the live buffer pool, so its
 /// counters must be handed back unconditionally — otherwise a failed
 /// query would leave the pool warmer than the session's [`IoStats`]
 /// admit. The query-level error rides in [`WorkerScan::out`].
-fn scan_worker_inner(
+fn scan_worker(
     job: &ScanJob<'_>,
+    store: &PageStore,
+    scan: &ScanCtx,
     part: &ScanPartition,
     partition_index: u32,
     mut hosting: HostingModel,
 ) -> WorkerScan {
-    let t0 = Instant::now();
-    let mut reader = job.store.reader(job.scan, partition_index);
-    let mut rows_scanned = 0u64;
-    let mut batches = 0u64;
-    // The panic boundary wraps only the body, not the reader: a worker
-    // that panics mid-row still folds its I/O counters back through
-    // `reader.finish()` below, so the pool and the session's accounting
-    // stay consistent — and the unwind never crosses a lock guard (the
-    // coordinator holds them), so no lock is poisoned by a buggy UDF.
-    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scan_worker_body(
-            job,
-            part,
-            &mut reader,
-            &mut hosting,
-            &mut rows_scanned,
-            &mut batches,
-        )
-    })) {
-        Ok(out) => out,
-        Err(p) => Err(EngineError::WorkerPanicked(panic_message(p.as_ref()))),
-    };
-    WorkerScan {
-        rows_scanned,
-        batches,
-        scan_io: reader.finish(),
-        calls: hosting.calls(),
-        charged_ns: hosting.charged_ns(),
-        busy_seconds: t0.elapsed().as_secs_f64(),
-        out,
-    }
+    sqlarray_core::parallel::with_serial_kernels(|| {
+        let t0 = Instant::now();
+        let mut reader = store.reader(scan, partition_index);
+        let mut rows_scanned = 0u64;
+        let mut batches = 0u64;
+        // The panic boundary wraps only the body, not the reader: a worker
+        // that panics mid-batch still folds its I/O counters back through
+        // `reader.finish()` below, so the pool and the session's
+        // accounting stay consistent — and the unwind never crosses a lock
+        // guard (the coordinator holds them), so no lock is poisoned by a
+        // buggy UDF. A DML match phase is read-only, so a contained panic
+        // aborts the statement before any page or WAL byte changes.
+        let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scan_worker_body(
+                job,
+                part,
+                &mut reader,
+                &mut hosting,
+                &mut rows_scanned,
+                &mut batches,
+            )
+        })) {
+            Ok(out) => out,
+            Err(p) => Err(EngineError::WorkerPanicked(panic_message(p.as_ref()))),
+        };
+        WorkerScan {
+            rows_scanned,
+            batches,
+            scan_io: reader.finish(),
+            calls: hosting.calls(),
+            charged_ns: hosting.charged_ns(),
+            busy_seconds: t0.elapsed().as_secs_f64(),
+            out,
+        }
+    })
 }
 
+/// The worker body: decode a leaf range into column batches, filter into
+/// a selection vector, then hand the selected rows to the job's sink —
+/// touching the allocator once per batch for kernel expressions, and
+/// running escape nodes once per selected row.
 fn scan_worker_body(
     job: &ScanJob<'_>,
     part: &ScanPartition,
@@ -700,324 +774,188 @@ fn scan_worker_body(
     rows_scanned: &mut u64,
     batches: &mut u64,
 ) -> Result<WorkerOut> {
-    if let Some(plan) = job.batch_plan {
-        return scan_worker_body_batch(job, plan, part, reader, hosting, rows_scanned, batches);
-    }
-    let mut inner_err: Option<EngineError> = None;
-    // Owned handle on the statement's lifecycle for the charge sites
-    // inside the row closures, where `reader` is re-borrowed into the
-    // evaluation environment.
+    let plan = job.plan;
+    let schema = job.table.schema();
     let query = reader.query().clone();
-
-    let out = if job.has_aggregate {
-        let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-        let mut keys: Vec<GroupKey> = Vec::new();
-        let mut groups: Vec<Vec<ItemAcc>> = Vec::new();
-        if job.group_by.is_empty() {
-            let accs = job
-                .items
-                .iter()
-                .map(|it| make_acc(&it.expr, job.udas))
-                .collect::<Result<Vec<_>>>()?;
-            groups.push(accs);
-            keys.push(GroupKey::default());
-            group_index.insert(GroupKey::default(), 0);
+    let (mut out, limit, strict) = match &job.sink {
+        Sink::Project { limit } => (WorkerOut::Rows(Vec::new()), *limit, None),
+        Sink::Aggregate(agg) => {
+            let mut groups = Groups::default();
+            // Without GROUP BY the single global group exists before the
+            // first row: an empty scan still yields one row of aggregates.
+            if plan.group_by.is_empty() {
+                groups.insert(GroupKey::default(), make_accs(agg.items, agg.udas)?);
+            }
+            (WorkerOut::Groups(groups), usize::MAX, None)
         }
-        {
-            let hosting = &mut *hosting;
-            // Key-encoding scratch, reused across rows so the hot grouped
-            // loop re-fills one buffer instead of growing a fresh Vec per
-            // row; it is cloned only when a new group is inserted.
-            let mut group_key = GroupKey::default();
-            job.table
-                .scan_partition(reader, part, |reader, key, bytes| {
-                    reader.check_interrupt()?;
-                    *rows_scanned += 1;
-                    let row = RowCtx {
-                        schema: job.schema,
-                        bytes,
-                        key,
-                    };
-                    let mut env = EvalEnv {
-                        udfs: job.udfs,
-                        hosting,
-                        vars: job.vars,
-                        lobs: Some(reader),
-                    };
-                    let group_key = &mut group_key;
-                    let step = (|| -> Result<()> {
-                        if let Some(w) = job.where_clause {
-                            if !eval(w, Some(&row), &mut env)?.is_true() {
-                                return Ok(());
-                            }
-                        }
-                        let gidx = if job.group_by.is_empty() {
-                            0
-                        } else {
-                            group_key.0.clear();
-                            for g in job.group_by.iter() {
-                                let mut v = eval(g, Some(&row), &mut env)?;
-                                // Grouping by a LOB column groups by its
-                                // bytes, like any other binary value.
-                                crate::pushdown::resolve_lob_in_place(&mut v, &mut env)?;
-                                group_key.push(&v)?;
-                            }
-                            match group_index.get(group_key) {
-                                Some(&i) => i,
-                                None => {
-                                    // Aggregation state is the memory a
-                                    // grouped scan actually accumulates:
-                                    // charge each new group's key (stored
-                                    // twice — order list and index) plus
-                                    // its accumulator row.
-                                    query.charge(
-                                        (2 * group_key.0.len()
-                                            + job.items.len() * std::mem::size_of::<ItemAcc>())
-                                            as u64,
-                                    )?;
-                                    let accs = job
-                                        .items
-                                        .iter()
-                                        .map(|it| make_acc(&it.expr, job.udas))
-                                        .collect::<Result<Vec<_>>>()?;
-                                    groups.push(accs);
-                                    let i = groups.len() - 1;
-                                    keys.push(group_key.clone());
-                                    group_index.insert(group_key.clone(), i);
-                                    i
-                                }
-                            }
-                        };
-                        for acc in groups[gidx].iter_mut() {
-                            acc.accumulate(&row, &mut env, job.uda_mode)?;
-                        }
-                        Ok(())
-                    })();
-                    match step {
-                        Ok(()) => Ok(true),
-                        Err(e) => {
-                            inner_err = Some(e);
-                            Ok(false)
-                        }
-                    }
-                })?;
-        }
-        if let Some(e) = inner_err {
-            return Err(e);
-        }
-        WorkerOut::Groups { keys, accs: groups }
-    } else {
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        {
-            let hosting = &mut *hosting;
-            job.table
-                .scan_partition(reader, part, |reader, key, bytes| {
-                    reader.check_interrupt()?;
-                    *rows_scanned += 1;
-                    if rows.len() >= job.limit {
-                        return Ok(false);
-                    }
-                    let row = RowCtx {
-                        schema: job.schema,
-                        bytes,
-                        key,
-                    };
-                    let mut env = EvalEnv {
-                        udfs: job.udfs,
-                        hosting,
-                        vars: job.vars,
-                        lobs: Some(reader),
-                    };
-                    let step = (|| -> Result<()> {
-                        if let Some(w) = job.where_clause {
-                            if !eval(w, Some(&row), &mut env)?.is_true() {
-                                return Ok(());
-                            }
-                        }
-                        let mut out = Vec::with_capacity(job.items.len());
-                        for it in job.items.iter() {
-                            let mut v = eval(&it.expr, Some(&row), &mut env)?;
-                            // The projection boundary is blob-aware: a bare
-                            // `SELECT v` of a LOB column returns the array
-                            // bytes (one ranged read), not a placeholder.
-                            crate::pushdown::resolve_lob_in_place(&mut v, &mut env)?;
-                            out.push(v);
-                        }
-                        rows.push(out);
-                        Ok(())
-                    })();
-                    match step {
-                        Ok(()) => Ok(rows.len() < job.limit),
-                        Err(e) => {
-                            inner_err = Some(e);
-                            Ok(false)
-                        }
-                    }
-                })?;
-        }
-        if let Some(e) = inner_err {
-            return Err(e);
-        }
-        WorkerOut::Rows(rows)
+        Sink::Match { kind, .. } => (WorkerOut::Matched(Vec::new()), usize::MAX, Some(*kind)),
     };
-    Ok(out)
-}
-
-/// The vectorized worker body: decode a leaf range into column batches,
-/// filter into a selection vector, then feed projections or aggregate
-/// accumulators batch-at-a-time. Mirrors [`scan_worker_body`] result for
-/// result — the differential suite asserts bit-identity — while touching
-/// the allocator once per batch instead of once per row.
-fn scan_worker_body_batch(
-    job: &ScanJob<'_>,
-    plan: &crate::batch::BatchPlan,
-    part: &ScanPartition,
-    reader: &mut sqlarray_storage::PartitionReader<'_>,
-    hosting: &mut HostingModel,
-    rows_scanned: &mut u64,
-    batches: &mut u64,
-) -> Result<WorkerOut> {
-    let mut inner_err: Option<EngineError> = None;
-    let mut batch = sqlarray_storage::row::new_batch(job.schema, &plan.cols)?;
+    let projected = |out: &WorkerOut| match out {
+        WorkerOut::Rows(rows) => rows.len(),
+        _ => 0,
+    };
+    let mut batch = sqlarray_storage::row::new_batch(schema, &plan.cols)?;
     let mut sel: Vec<u32> = Vec::new();
     let mut scratch: Vec<u32> = Vec::new();
-    let query = reader.query().clone();
+    let mut touched = Touched::default();
     // Batch lanes are reused across flushes, so the budget charge is the
     // high-water mark of the decoded batch, not its size times flushes:
     // only growth beyond what this worker already charged costs budget.
     let mut charged_batch_bytes = 0u64;
-    let mut charge_batch = |q: &sqlarray_core::QueryCtx,
-                            b: &sqlarray_core::batch::Batch|
-     -> std::result::Result<(), sqlarray_core::Interrupt> {
-        let size = b.byte_size();
-        if size > charged_batch_bytes {
-            q.charge(size - charged_batch_bytes)?;
-            charged_batch_bytes = size;
-        }
-        Ok(())
-    };
-
-    let out = if job.has_aggregate {
-        // Compiled aggregate plans are always the single global group
-        // (GROUP BY falls back), so the worker holds one accumulator row.
-        let mut accs = job
-            .items
-            .iter()
-            .map(|it| make_acc(&it.expr, job.udas))
-            .collect::<Result<Vec<_>>>()?;
-        job.table.scan_partition_batches(
-            reader,
-            part,
-            sqlarray_storage::BatchScanOpts {
+    let mut inner_err: Option<EngineError> = None;
+    job.table.scan_partition_batches(
+        reader,
+        part,
+        sqlarray_storage::BatchScanOpts {
+            cols: &plan.cols,
+            // A projection never needs more than `limit` output rows per
+            // worker, so a small `TOP` shrinks the batch: the scan stops
+            // within one cap of the limit instead of decoding a full batch.
+            rows_cap: job.batch_rows.min(limit.max(1)),
+            leaf_aligned: plan.leaf_aligned,
+        },
+        &mut batch,
+        |reader, b| {
+            reader.check_interrupt()?;
+            *rows_scanned += b.len() as u64;
+            *batches += 1;
+            if projected(&out) >= limit {
+                return Ok(false);
+            }
+            let mut env = EvalEnv {
+                udfs: job.udfs,
+                hosting: &mut *hosting,
+                vars: job.vars,
+                lobs: Some(reader),
+            };
+            let mut cx = Cx {
+                schema,
                 cols: &plan.cols,
-                rows_cap: job.batch_rows,
-                leaf_aligned: plan.leaf_aligned,
-            },
-            &mut batch,
-            |reader, b| {
-                reader.check_interrupt()?;
-                *rows_scanned += b.len() as u64;
-                *batches += 1;
-                let step = (|| -> Result<()> {
-                    charge_batch(&query, b)?;
-                    sqlarray_core::batch::identity_selection(&mut sel, b.len());
-                    if let Some(f) = &plan.filter {
-                        crate::batch::apply_filter(f, b, &mut sel, &mut scratch)?;
-                    }
-                    if sel.is_empty() {
-                        return Ok(());
-                    }
-                    for (acc, item) in accs.iter_mut().zip(plan.items.iter()) {
-                        feed_acc_batch(acc, item, b, &sel)?;
-                    }
-                    Ok(())
-                })();
-                match step {
-                    Ok(()) => Ok(true),
-                    Err(e) => {
-                        inner_err = Some(e);
-                        Ok(false)
-                    }
+                batch: b,
+                env: &mut env,
+            };
+            let step = (|| -> Result<()> {
+                let size = b.byte_size();
+                if size > charged_batch_bytes {
+                    query.charge(size - charged_batch_bytes)?;
+                    charged_batch_bytes = size;
                 }
-            },
-        )?;
-        if let Some(e) = inner_err {
-            return Err(e);
-        }
-        WorkerOut::Groups {
-            keys: vec![GroupKey::default()],
-            accs: vec![accs],
-        }
-    } else {
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        // A projection never needs more than `limit` output rows per
-        // worker, so a small `TOP` shrinks the batch: the scan stops
-        // within one cap of the limit instead of decoding a full batch.
-        let rows_cap = job.batch_rows.min(job.limit.max(1));
-        {
-            let hosting = &mut *hosting;
-            job.table.scan_partition_batches(
-                reader,
-                part,
-                sqlarray_storage::BatchScanOpts {
-                    cols: &plan.cols,
-                    rows_cap,
-                    leaf_aligned: plan.leaf_aligned,
-                },
-                &mut batch,
-                |reader, b| {
-                    reader.check_interrupt()?;
-                    *rows_scanned += b.len() as u64;
-                    *batches += 1;
-                    if rows.len() >= job.limit {
-                        return Ok(false);
+                sqlarray_core::batch::identity_selection(&mut sel, b.len());
+                if let Some(f) = &plan.filter {
+                    crate::batch::apply_filter(f, &mut cx, &mut sel, &mut scratch, strict)?;
+                }
+                if sel.is_empty() {
+                    return Ok(());
+                }
+                match (&job.sink, &mut out) {
+                    (Sink::Project { limit }, WorkerOut::Rows(rows)) => {
+                        batch_project(plan, &mut cx, &sel, *limit, rows)
                     }
-                    let mut env = EvalEnv {
-                        udfs: job.udfs,
-                        hosting,
-                        vars: job.vars,
-                        lobs: Some(reader),
-                    };
-                    let step = (|| -> Result<()> {
-                        charge_batch(&query, b)?;
-                        sqlarray_core::batch::identity_selection(&mut sel, b.len());
-                        if let Some(f) = &plan.filter {
-                            crate::batch::apply_filter(f, b, &mut sel, &mut scratch)?;
-                        }
-                        if sel.is_empty() {
-                            return Ok(());
-                        }
-                        batch_project(plan, b, &sel, job.limit, &mut rows, &mut env)
-                    })();
-                    match step {
-                        Ok(()) => Ok(rows.len() < job.limit),
-                        Err(e) => {
-                            inner_err = Some(e);
-                            Ok(false)
-                        }
+                    (Sink::Aggregate(spec), WorkerOut::Groups(groups)) => {
+                        feed_groups(groups, &mut touched, spec, &query, plan, &mut cx, &sel)
                     }
-                },
-            )?;
-        }
-        if let Some(e) = inner_err {
-            return Err(e);
-        }
-        WorkerOut::Rows(rows)
-    };
-    Ok(out)
+                    (Sink::Match { sets, .. }, WorkerOut::Matched(matched)) => {
+                        batch_match(plan, sets, &mut cx, &sel, matched)
+                    }
+                    _ => Err(plan_error("sink/output mismatch")),
+                }
+            })();
+            match step {
+                Ok(()) => Ok(projected(&out) < limit),
+                Err(e) => {
+                    inner_err = Some(e);
+                    Ok(false)
+                }
+            }
+        },
+    )?;
+    match inner_err {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
 }
 
-/// Feeds one batch of selected rows into one aggregate accumulator —
-/// the batch counterpart of [`ItemAcc::accumulate`]. Stored columns are
-/// never NULL, so the row path's null-skip never fires and whole-batch
-/// counts are exact.
-fn feed_acc_batch(
-    acc: &mut ItemAcc,
-    item: &crate::batch::BItem,
-    b: &sqlarray_core::batch::Batch,
+fn plan_error(what: &str) -> EngineError {
+    EngineError::Type(format!("batch plan error: {what}"))
+}
+
+/// The select list an aggregating scan accumulates.
+struct AggSpec<'a> {
+    items: &'a [SelectItem],
+    udas: &'a UdaRegistry,
+    uda_mode: UdaMode,
+}
+
+/// Feeds one filtered batch into a worker's groups: each selected row
+/// joins its group (created on first appearance, its state charged to
+/// the statement's memory budget), then every touched group's
+/// accumulators consume that group's rows, in row order.
+fn feed_groups(
+    groups: &mut Groups,
+    touched: &mut Touched,
+    agg: &AggSpec<'_>,
+    query: &sqlarray_core::QueryCtx,
+    plan: &BatchPlan,
+    cx: &mut Cx<'_, '_>,
     sel: &[u32],
 ) -> Result<()> {
-    use crate::batch::{BAggArg, BItem};
+    if plan.group_by.is_empty() {
+        for (acc, item) in groups.accs[0].iter_mut().zip(&plan.items) {
+            feed_acc_batch(acc, item, cx, sel, agg.uda_mode)?;
+        }
+        return Ok(());
+    }
+    let mut key_cols = plan
+        .group_by
+        .iter()
+        .map(|g| crate::batch::eval(g, cx, sel))
+        .collect::<Result<Vec<_>>>()?;
+    touched.clear();
+    // Key-encoding scratch, re-filled per row; cloned only when a new
+    // group is inserted.
+    let mut key = GroupKey::default();
+    for (i, &row) in sel.iter().enumerate() {
+        key.0.clear();
+        for col in key_cols.iter_mut() {
+            let mut v = col.take(i);
+            // Grouping by a LOB column groups by its bytes, like any
+            // other binary value.
+            crate::pushdown::resolve_lob_in_place(&mut v, cx.env)?;
+            key.push(&v)?;
+        }
+        let g = match groups.index.get(&key) {
+            Some(&g) => g,
+            None => {
+                // Aggregation state is the memory a grouped scan actually
+                // accumulates: charge each new group's key (stored twice —
+                // order list and index) plus its accumulator row.
+                query.charge(
+                    (2 * key.0.len() + agg.items.len() * std::mem::size_of::<ItemAcc>()) as u64,
+                )?;
+                groups.insert(key.clone(), make_accs(agg.items, agg.udas)?)
+            }
+        };
+        touched.push(g, row);
+    }
+    for (t, &g) in touched.groups.iter().enumerate() {
+        for (acc, item) in groups.accs[g].iter_mut().zip(&plan.items) {
+            feed_acc_batch(acc, item, cx, &touched.rows[t], agg.uda_mode)?;
+        }
+    }
+    Ok(())
+}
+
+/// Feeds the selected rows of one batch into one accumulator, in row
+/// order. NULLs (only escape nodes produce them) are skipped, as in SQL.
+fn feed_acc_batch(
+    acc: &mut ItemAcc,
+    item: &BItem,
+    cx: &mut Cx<'_, '_>,
+    sel: &[u32],
+    uda_mode: UdaMode,
+) -> Result<()> {
+    use crate::batch::{eval, BAggArg, BVal};
+    use crate::pushdown::resolve_lob_in_place;
     match (acc, item) {
         (
             ItemAcc::Agg {
@@ -1028,142 +966,135 @@ fn feed_acc_batch(
                 ..
             },
             BItem::Agg { func, arg },
-        ) => {
-            match (func, arg) {
-                (AggFunc::CountStar, _) => *count += sel.len() as u64,
-                // COUNT over a blob column counts non-null rows without
-                // reading the blobs, like the row path.
-                (AggFunc::Count, Some(BAggArg::Blob(pos))) => {
-                    assert!(matches!(
-                        b.cols[*pos],
-                        sqlarray_core::batch::ColVec::Blob { .. }
-                    ));
-                    *count += sel.len() as u64;
-                }
-                (AggFunc::Count, Some(BAggArg::Scalar(e))) => {
-                    // Evaluated for error parity with the row path (a
-                    // zero divisor in the argument must still fail).
-                    let v = crate::batch::eval(e, b, sel)?;
-                    *count += v.len() as u64;
-                }
-                (AggFunc::Sum | AggFunc::Avg, Some(BAggArg::Scalar(e))) => {
-                    let vals = crate::batch::eval(e, b, sel)?;
+        ) => match (func, arg) {
+            // COUNT over a blob column counts rows without reading the
+            // blobs: stored columns are never NULL.
+            (AggFunc::CountStar, _) | (AggFunc::Count, Some(BAggArg::Blob)) => {
+                *count += sel.len() as u64;
+                Ok(())
+            }
+            (_, Some(BAggArg::Scalar(e))) => {
+                let mut vals = eval(e, cx, sel)?;
+                let lanes = !matches!(vals, BVal::Values(_));
+                if lanes && matches!(func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg) {
+                    // Kernel lanes hold no NULLs and no LOB references.
+                    // COUNT still evaluates its argument, for error parity
+                    // (a zero divisor in it must fail); the exact sum
+                    // keeps any batch/partition split bit-identical.
                     *count += vals.len() as u64;
-                    // The exact accumulator keeps any summation order —
-                    // and thus any batch/partition split — bit-identical.
-                    sqlarray_core::batch::sum_f64(&vals.into_f64(), sum);
+                    if *func != AggFunc::Count {
+                        sqlarray_core::batch::sum_f64(&vals.into_f64()?, sum);
+                    }
+                    return Ok(());
                 }
-                (AggFunc::Min, Some(BAggArg::Scalar(e))) => {
-                    let vals = crate::batch::eval(e, b, sel)?;
-                    *count += vals.len() as u64;
-                    for i in 0..vals.len() {
-                        let cand = vals.value_at(i);
-                        let replace = match &*min {
-                            None => true,
-                            Some(cur) => {
-                                crate::expr::compare(&cand, cur)? == std::cmp::Ordering::Less
-                            }
-                        };
-                        if replace {
-                            *min = Some(cand);
-                        }
+                for i in 0..vals.len() {
+                    let mut v = vals.take(i);
+                    if v.is_null() {
+                        continue;
+                    }
+                    // MIN/MAX order blobs bytewise and SUM/AVG need a
+                    // numeric view, so a lazy LOB argument behaves exactly
+                    // like its inline counterpart: materialize it. COUNT
+                    // only needs null-ness — skip the read there.
+                    if *func != AggFunc::Count {
+                        resolve_lob_in_place(&mut v, cx.env)?;
+                    }
+                    *count += 1;
+                    match func {
+                        AggFunc::Sum | AggFunc::Avg => sum.add(v.as_f64()?),
+                        AggFunc::Min => keep_extreme(min, v, Ordering::Less)?,
+                        AggFunc::Max => keep_extreme(max, v, Ordering::Greater)?,
+                        AggFunc::Count | AggFunc::CountStar => {}
                     }
                 }
-                (AggFunc::Max, Some(BAggArg::Scalar(e))) => {
-                    let vals = crate::batch::eval(e, b, sel)?;
-                    *count += vals.len() as u64;
-                    for i in 0..vals.len() {
-                        let cand = vals.value_at(i);
-                        let replace = match &*max {
-                            None => true,
-                            Some(cur) => {
-                                crate::expr::compare(&cand, cur)? == std::cmp::Ordering::Greater
-                            }
-                        };
-                        if replace {
-                            *max = Some(cand);
-                        }
-                    }
+                Ok(())
+            }
+            _ => Err(plan_error("aggregate shape mismatch")),
+        },
+        (ItemAcc::Uda(state), BItem::Uda(args)) => {
+            let mut cols = args
+                .iter()
+                .map(|a| eval(a, cx, sel))
+                .collect::<Result<Vec<_>>>()?;
+            let mut argv = Vec::with_capacity(cols.len());
+            for i in 0..sel.len() {
+                argv.clear();
+                for col in cols.iter_mut() {
+                    let mut v = col.take(i);
+                    // UDA accumulate bodies take bytes, not references:
+                    // materialize lazy LOB arguments here.
+                    resolve_lob_in_place(&mut v, cx.env)?;
+                    argv.push(v);
                 }
-                _ => {
-                    return Err(EngineError::Type(
-                        "batch plan error: aggregate shape mismatch".into(),
-                    ))
+                if uda_mode == UdaMode::StreamSerialized {
+                    let buf = state.serialize_state();
+                    state.load_state(&buf)?;
                 }
+                // Each UDA row hop is a managed call, like the CLR
+                // aggregate interface.
+                cx.env.hosting.charge_call();
+                state.accumulate(&argv)?;
             }
             Ok(())
         }
-        (ItemAcc::Plain { value, .. }, BItem::Plain(e)) => {
-            // The row path evaluates a plain item at the first passing row
-            // and keeps that value; compiled plain items are scalar, so no
-            // LOB materialization is needed.
+        (ItemAcc::Plain(value), BItem::Plain(e)) => {
             if value.is_none() && !sel.is_empty() {
-                let first = [sel[0]];
-                let v = crate::batch::eval(e, b, &first)?;
-                *value = Some(v.value_at(0));
+                let mut v = eval(e, cx, &sel[..1])?.take(0);
+                // The value outlives the batch: materialize lazy LOB
+                // references while the worker's reader is live.
+                resolve_lob_in_place(&mut v, cx.env)?;
+                *value = Some(v);
             }
             Ok(())
         }
-        _ => Err(EngineError::Type(
-            "batch plan error: accumulator shape mismatch".into(),
-        )),
+        _ => Err(plan_error("accumulator shape mismatch")),
     }
 }
 
-/// Materializes the selected rows of one batch as projection output.
-/// Scalar items evaluate column-at-a-time; blob items resolve per row in
-/// row-major order, so LOB page reads interleave exactly like the
-/// row-at-a-time scan (the plan is leaf-aligned whenever blobs appear).
+/// The selected rows' values of each projection item, one column each.
+/// Scalar items evaluate column-at-a-time, escape nodes row by row.
+fn eval_items(plan: &BatchPlan, cx: &mut Cx<'_, '_>, sel: &[u32]) -> Result<Vec<BVal>> {
+    plan.items
+        .iter()
+        .map(|item| match item {
+            BItem::Proj(e) => crate::batch::eval(e, cx, sel),
+            BItem::ProjBlob(pos) => {
+                let ColVec::Blob { bytes, lob } = &cx.batch.cols[*pos] else {
+                    return Err(plan_error("blob projection over a scalar column"));
+                };
+                Ok(BVal::Values(
+                    sel.iter()
+                        .map(|&r| crate::expr::blob_value(bytes, lob, r as usize))
+                        .collect(),
+                ))
+            }
+            _ => Err(plan_error("aggregate item in a projection")),
+        })
+        .collect()
+}
+
+/// Materializes the selected rows of one batch as projection output, up
+/// to `limit` rows in total: only rows that fit are evaluated. Values
+/// resolve in row-major order, so LOB page reads interleave per row (the
+/// plan is leaf-aligned whenever blobs appear).
 fn batch_project(
-    plan: &crate::batch::BatchPlan,
-    b: &sqlarray_core::batch::Batch,
+    plan: &BatchPlan,
+    cx: &mut Cx<'_, '_>,
     sel: &[u32],
     limit: usize,
     rows: &mut Vec<Vec<Value>>,
-    env: &mut EvalEnv<'_>,
 ) -> Result<()> {
-    use crate::batch::{BItem, BVal};
-    enum ProjCol {
-        Vals(BVal),
-        Blob(usize),
-    }
-    let mut cols: Vec<ProjCol> = Vec::with_capacity(plan.items.len());
-    for item in plan.items.iter() {
-        cols.push(match item {
-            BItem::Proj(e) => ProjCol::Vals(crate::batch::eval(e, b, sel)?),
-            BItem::ProjBlob(pos) => ProjCol::Blob(*pos),
-            _ => {
-                return Err(EngineError::Type(
-                    "batch plan error: aggregate item in a projection".into(),
-                ))
-            }
-        });
-    }
-    for (r, &row_idx) in sel.iter().enumerate() {
-        if rows.len() >= limit {
-            break;
-        }
+    let sel = &sel[..sel.len().min(limit.saturating_sub(rows.len()))];
+    let mut cols = eval_items(plan, cx, sel)?;
+    for r in 0..sel.len() {
         let mut out = Vec::with_capacity(cols.len());
-        for col in cols.iter() {
-            match col {
-                ProjCol::Vals(v) => out.push(v.value_at(r)),
-                ProjCol::Blob(pos) => {
-                    let sqlarray_core::batch::ColVec::Blob { bytes, lob } = &b.cols[*pos] else {
-                        return Err(EngineError::Type(
-                            "batch plan error: blob projection over a scalar column".into(),
-                        ));
-                    };
-                    let i = row_idx as usize;
-                    let mut v = match lob[i] {
-                        Some((id, len)) => Value::Lob { id, len },
-                        None => Value::Bytes(bytes.get(i).to_vec()),
-                    };
-                    // The projection boundary is blob-aware, same as the
-                    // row path: stored references come back as bytes.
-                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                    out.push(v);
-                }
-            }
+        for col in cols.iter_mut() {
+            let mut v = col.take(r);
+            // The projection boundary is blob-aware: a bare `SELECT v` of
+            // a LOB column returns the array bytes (one ranged read), not
+            // a placeholder.
+            crate::pushdown::resolve_lob_in_place(&mut v, cx.env)?;
+            out.push(v);
         }
         rows.push(out);
     }
@@ -1194,11 +1125,12 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
     let has_aggregate =
         items.iter().any(|it| it.expr.contains_aggregate()) || !stmt.group_by.is_empty();
 
-    let mut rows_scanned = 0u64;
-    let mut batches_total = 0u64;
     let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut totals = ScanTotals {
+        dop: 1,
+        ..ScanTotals::default()
+    };
     let mut cpu_seconds = 0.0f64;
-    let mut dop_used = 1usize;
 
     match &stmt.from {
         None => {
@@ -1234,167 +1166,85 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
                 .ok_or_else(|| EngineError::Unknown(format!("table `{table_name}`")))?;
             let schema = table.schema().clone();
             let parts = table.partition(ctx.store, ctx.dop.max(1))?;
-            let scan = ctx.store.begin_scan_for(ctx.query.clone());
             let limit = stmt.top.unwrap_or(ctx.row_limit);
-            // Vectorized by default: scans run batch-at-a-time whenever
-            // the plan compiles; `batch_rows == 0` (or a plan that does
-            // not compile) runs the row-at-a-time interpreter. When the
-            // statement came through the plan cache, its slot answers for
-            // var-free statements without recompiling.
-            let batch_plan: Option<std::sync::Arc<crate::batch::BatchPlan>> = if ctx.batch_rows > 0
-            {
-                let compile = || {
-                    crate::batch::plan_select(
-                        &schema,
-                        &items,
-                        stmt.where_clause.as_ref(),
-                        &stmt.group_by,
-                        has_aggregate,
-                        ctx.vars,
-                    )
-                };
-                match ctx.cached {
-                    Some(slot) => slot.plan_for(&schema, compile),
-                    None => compile().map(std::sync::Arc::new),
-                }
-            } else {
-                None
+            // When the statement came through the plan cache, its slot
+            // answers for var-free statements without recompiling.
+            let compile = || {
+                crate::batch::plan_select(
+                    &schema,
+                    &items,
+                    stmt.where_clause.as_ref(),
+                    &stmt.group_by,
+                    has_aggregate,
+                    ctx.vars,
+                )
+            };
+            let plan = match ctx.cached {
+                Some(slot) => slot.plan_for(&schema, compile),
+                None => std::sync::Arc::new(compile()),
             };
             let job = ScanJob {
                 table: &table,
-                schema: &schema,
-                store: ctx.store,
-                scan: &scan,
-                items: &items,
-                where_clause: stmt.where_clause.as_ref(),
-                group_by: &stmt.group_by,
-                has_aggregate,
-                limit,
+                plan: &plan,
+                batch_rows: ctx.batch_rows.max(1),
                 udfs: ctx.udfs,
-                udas: ctx.udas,
                 vars: ctx.vars,
-                uda_mode: ctx.uda_mode,
-                batch_plan: batch_plan.as_deref(),
-                batch_rows: ctx.batch_rows,
+                sink: if has_aggregate {
+                    Sink::Aggregate(AggSpec {
+                        items: &items,
+                        udas: ctx.udas,
+                        uda_mode: ctx.uda_mode,
+                    })
+                } else {
+                    Sink::Project { limit }
+                },
+            };
+            let (scanned, outs) = run_scan(ctx.store, ctx.hosting, &ctx.query, &parts, &job);
+            totals = scanned;
+            let outs = match outs {
+                Ok(outs) => outs,
+                Err(e) => {
+                    // Every counter already folded (the pool saw the
+                    // reads), so an aborted statement still reports what
+                    // it did before the abort: the partial-stats contract
+                    // for cancel/timeout/budget/panic.
+                    *ctx.partial = Some(query_stats(
+                        ctx.store,
+                        &io_before,
+                        ctx.hosting,
+                        &totals,
+                        totals.cpu_seconds,
+                        t0.elapsed().as_secs_f64(),
+                        0,
+                    ));
+                    return Err(e);
+                }
             };
 
-            // Fan the partitions out through the workspace helper: one
-            // worker per partition (singleton ranges), and with a single
-            // partition the helper runs inline — the serial plan is
-            // literally the parallel plan at width 1, so both sides of
-            // the determinism guarantee share this code.
-            let job_ref = &job;
-            let hosting_ref: &HostingModel = ctx.hosting;
-            let parts_ref = &parts;
-            let worker_results: Vec<WorkerScan> =
-                scoped_map_ranges(parts.len(), parts.len(), |r| {
-                    r.map(|pi| scan_worker(job_ref, &parts_ref[pi], pi as u32, hosting_ref.fork()))
-                        .collect::<Vec<WorkerScan>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            dop_used = parts.len();
-            drop(scan);
-
-            // Fold every worker's counters in — including those of a
-            // worker whose query body errored — so the session's I/O,
-            // pool, and hosting accounting stay consistent with each
-            // other: the reads a worker performed are already in the live
-            // pool, so they must be in the counters too.
-            let mut scan_ios: Vec<ScanIo> = Vec::new();
-            let mut max_busy = 0.0f64;
-            let mut first_err: Option<EngineError> = None;
-            let mut outs: Vec<WorkerOut> = Vec::new();
-            for w in worker_results {
-                rows_scanned += w.rows_scanned;
-                batches_total += w.batches;
-                scan_ios.push(w.scan_io);
-                ctx.hosting.absorb(w.calls, w.charged_ns);
-                // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
-                cpu_seconds += w.busy_seconds;
-                max_busy = max_busy.max(w.busy_seconds);
-                match w.out {
-                    Ok(out) => outs.push(out),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            // The live pool already saw every worker touch; this merges
-            // the counters (with cross-partition classification stitching)
-            // and advances the simulated head to the last physical read.
-            ctx.store.finish_scan(scan_ios.iter());
-            if let Some(e) = first_err {
-                // Every counter above already folded (the pool saw the
-                // reads), so an aborted statement still reports what it
-                // did before the abort — the ISSUE's "partial stats"
-                // contract for cancel/timeout/budget/panic.
-                let wall_seconds = t0.elapsed().as_secs_f64();
-                let io = ctx.store.stats().since(&io_before);
-                let sim_io_seconds = ctx.store.profile().io_seconds(&io);
-                *ctx.partial = Some(QueryStats {
-                    rows_scanned,
-                    batches: batches_total,
-                    batch_fill: if batches_total > 0 {
-                        rows_scanned as f64 / batches_total as f64
-                    } else {
-                        0.0
-                    },
-                    udf_calls: ctx.hosting.calls(),
-                    udf_overhead_ns: ctx.hosting.charged_ns(),
-                    cpu_seconds,
-                    wall_seconds,
-                    dop: dop_used,
-                    io,
-                    sim_io_seconds,
-                    rows_affected: 0,
-                });
-                return Err(e);
-            }
-
             // Merge partials in partition (key) order.
-            let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-            let mut groups: Vec<Vec<ItemAcc>> = Vec::new();
+            let mut groups = Groups::default();
             for out in outs {
                 match out {
                     WorkerOut::Rows(mut r) => {
-                        let room = limit.saturating_sub(rows.len());
-                        r.truncate(room);
+                        r.truncate(limit.saturating_sub(rows.len()));
                         rows.extend(r);
                     }
-                    WorkerOut::Groups { keys, accs } => {
-                        for (key, worker_accs) in keys.into_iter().zip(accs) {
-                            match group_index.get(&key) {
-                                Some(&i) => {
-                                    for (mine, theirs) in groups[i].iter_mut().zip(worker_accs) {
-                                        mine.combine(theirs)?;
-                                    }
-                                }
-                                None => {
-                                    groups.push(worker_accs);
-                                    group_index.insert(key, groups.len() - 1);
-                                }
-                            }
-                        }
-                    }
+                    WorkerOut::Groups(g) => groups.absorb(g)?,
+                    WorkerOut::Matched(_) => return Err(plan_error("DML matches from a SELECT")),
                 }
             }
-            if has_aggregate {
-                for mut accs in groups {
-                    let mut out = Vec::with_capacity(accs.len());
-                    for acc in accs.iter_mut() {
-                        out.push(acc.finish()?);
-                    }
-                    rows.push(out);
-                }
+            for mut accs in groups.accs {
+                rows.push(
+                    accs.iter_mut()
+                        .map(ItemAcc::finish)
+                        .collect::<Result<_>>()?,
+                );
             }
             // Coordinator time not overlapped with the longest worker
             // (planning, fan-out, merge) is serial CPU work too.
             // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
-            cpu_seconds += (t0.elapsed().as_secs_f64() - max_busy).max(0.0);
+            cpu_seconds =
+                totals.cpu_seconds + (t0.elapsed().as_secs_f64() - totals.max_busy).max(0.0);
         }
     }
 
@@ -1402,8 +1252,6 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
     if stmt.from.is_none() {
         cpu_seconds = wall_seconds;
     }
-    let io = ctx.store.stats().since(&io_before);
-    let sim_io_seconds = ctx.store.profile().io_seconds(&io);
 
     let assignments: Vec<(String, Value)> = items
         .iter()
@@ -1423,23 +1271,15 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
     Ok(QueryResult {
         columns,
         rows,
-        stats: QueryStats {
-            rows_scanned,
-            batches: batches_total,
-            batch_fill: if batches_total > 0 {
-                rows_scanned as f64 / batches_total as f64
-            } else {
-                0.0
-            },
-            udf_calls: ctx.hosting.calls(),
-            udf_overhead_ns: ctx.hosting.charged_ns(),
+        stats: query_stats(
+            ctx.store,
+            &io_before,
+            ctx.hosting,
+            &totals,
             cpu_seconds,
             wall_seconds,
-            dop: dop_used,
-            io,
-            sim_io_seconds,
-            rows_affected: 0,
-        },
+            0,
+        ),
         assignments,
     })
 }
@@ -1471,6 +1311,10 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
 struct SetItem {
     col: usize,
     plan: SetPlan,
+    /// Batch position of the target column's lane, when a SET value may
+    /// be a stored LOB reference that must be checked against the row's
+    /// own chain.
+    own_lane: Option<usize>,
 }
 
 enum SetPlan {
@@ -1495,30 +1339,6 @@ enum SetValue {
     Patch { offset: Value, replacement: Value },
 }
 
-/// What one DML match worker hands back. Counters are unconditional for
-/// the same reason as [`WorkerScan`].
-struct DmlWorker {
-    rows_scanned: u64,
-    scan_io: ScanIo,
-    calls: u64,
-    charged_ns: u64,
-    busy_seconds: f64,
-    out: Result<Vec<(i64, Vec<SetValue>)>>,
-}
-
-/// Immutable match-phase context shared by all workers of one statement.
-struct DmlJob<'a> {
-    table: &'a Table,
-    schema: &'a Schema,
-    store: &'a PageStore,
-    scan: &'a ScanCtx,
-    where_clause: Option<&'a Expr>,
-    sets: &'a [SetItem],
-    kind: &'static str,
-    udfs: &'a UdfRegistry,
-    vars: &'a HashMap<String, Value>,
-}
-
 fn value_kind(v: &Value) -> &'static str {
     match v {
         Value::Null => "NULL",
@@ -1536,7 +1356,7 @@ fn value_kind(v: &Value) -> &'static str {
 /// DML predicates are strict: unlike SELECT's truthiness coercion, a
 /// WHERE clause that does not evaluate to a boolean is a typed error —
 /// silently coercing would make `WHERE id` delete every non-zero row.
-fn strict_bool(v: Value, kind: &str) -> Result<bool> {
+pub(crate) fn strict_bool(v: Value, kind: &str) -> Result<bool> {
     match v {
         Value::Bool(b) => Ok(b),
         other => Err(EngineError::Type(format!(
@@ -1605,141 +1425,6 @@ fn plan_set_item(col_name: &str, expr: &Expr) -> SetPlan {
         }
     }
     SetPlan::Eval(expr.clone())
-}
-
-fn dml_worker(
-    job: &DmlJob<'_>,
-    part: &ScanPartition,
-    partition_index: u32,
-    hosting: HostingModel,
-) -> DmlWorker {
-    sqlarray_core::parallel::with_serial_kernels(|| {
-        dml_worker_inner(job, part, partition_index, hosting)
-    })
-}
-
-fn dml_worker_inner(
-    job: &DmlJob<'_>,
-    part: &ScanPartition,
-    partition_index: u32,
-    mut hosting: HostingModel,
-) -> DmlWorker {
-    let t0 = Instant::now();
-    let mut reader = job.store.reader(job.scan, partition_index);
-    let mut rows_scanned = 0u64;
-    // Same panic boundary as `scan_worker_inner`: the match phase is
-    // read-only, so a contained panic aborts the statement before any
-    // page or WAL byte changes.
-    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dml_worker_body(job, part, &mut reader, &mut hosting, &mut rows_scanned)
-    })) {
-        Ok(out) => out,
-        Err(p) => Err(EngineError::WorkerPanicked(panic_message(p.as_ref()))),
-    };
-    DmlWorker {
-        rows_scanned,
-        scan_io: reader.finish(),
-        calls: hosting.calls(),
-        charged_ns: hosting.charged_ns(),
-        busy_seconds: t0.elapsed().as_secs_f64(),
-        out,
-    }
-}
-
-fn dml_worker_body(
-    job: &DmlJob<'_>,
-    part: &ScanPartition,
-    reader: &mut sqlarray_storage::PartitionReader<'_>,
-    hosting: &mut HostingModel,
-    rows_scanned: &mut u64,
-) -> Result<Vec<(i64, Vec<SetValue>)>> {
-    let mut inner_err: Option<EngineError> = None;
-    let mut matched: Vec<(i64, Vec<SetValue>)> = Vec::new();
-    {
-        let hosting = &mut *hosting;
-        job.table
-            .scan_partition(reader, part, |reader, key, bytes| {
-                reader.check_interrupt()?;
-                *rows_scanned += 1;
-                let row = RowCtx {
-                    schema: job.schema,
-                    bytes,
-                    key,
-                };
-                let mut env = EvalEnv {
-                    udfs: job.udfs,
-                    hosting,
-                    vars: job.vars,
-                    lobs: Some(reader),
-                };
-                let step = (|| -> Result<()> {
-                    if let Some(w) = job.where_clause {
-                        if !strict_bool(eval(w, Some(&row), &mut env)?, job.kind)? {
-                            return Ok(());
-                        }
-                    }
-                    let mut vals = Vec::with_capacity(job.sets.len());
-                    for item in job.sets {
-                        match &item.plan {
-                            SetPlan::Eval(e) => {
-                                let mut v = eval(e, Some(&row), &mut env)?;
-                                if let Value::Lob { id, .. } = v {
-                                    // A reference to the target column's own
-                                    // chain passes through (the apply phase
-                                    // keeps it); a reference to any *other*
-                                    // chain is copied here, while the
-                                    // worker's reader is live — two rows
-                                    // must never share a chain, or freeing
-                                    // one corrupts the other. The borrowed
-                                    // decode inspects the stored reference
-                                    // without copying inline blob bytes.
-                                    let own = matches!(
-                                        sqlarray_storage::row::decode_col_ref(
-                                            job.schema,
-                                            bytes,
-                                            item.col
-                                        )?,
-                                        sqlarray_storage::row::RowValueRef::LobRef(cid, _)
-                                            if cid == id
-                                    );
-                                    if !own {
-                                        crate::pushdown::resolve_lob_in_place(&mut v, &mut env)?;
-                                    }
-                                }
-                                vals.push(SetValue::Plain(v));
-                            }
-                            SetPlan::ArrayPatch {
-                                offset,
-                                replacement,
-                                ..
-                            } => {
-                                let mut off = eval(offset, Some(&row), &mut env)?;
-                                crate::pushdown::resolve_lob_in_place(&mut off, &mut env)?;
-                                let mut repl = eval(replacement, Some(&row), &mut env)?;
-                                crate::pushdown::resolve_lob_in_place(&mut repl, &mut env)?;
-                                vals.push(SetValue::Patch {
-                                    offset: off,
-                                    replacement: repl,
-                                });
-                            }
-                        }
-                    }
-                    matched.push((key, vals));
-                    Ok(())
-                })();
-                match step {
-                    Ok(()) => Ok(true),
-                    Err(e) => {
-                        inner_err = Some(e);
-                        Ok(false)
-                    }
-                }
-            })?;
-    }
-    if let Some(e) = inner_err {
-        return Err(e);
-    }
-    Ok(matched)
 }
 
 /// Checks the in-place patch conditions for one `ArrayUpdate` against the
@@ -1826,6 +1511,7 @@ pub fn exec_update(ctx: &mut DmlCtx<'_>, stmt: &UpdateStmt) -> Result<QueryResul
         sets.push(SetItem {
             col,
             plan: plan_set_item(col_name, expr),
+            own_lane: None,
         });
     }
     exec_dml(
@@ -1867,7 +1553,7 @@ fn exec_dml(
     mut table: Table,
     schema: Schema,
     where_clause: Option<&Expr>,
-    sets: Vec<SetItem>,
+    mut sets: Vec<SetItem>,
     kind: &'static str,
 ) -> Result<QueryResult> {
     let io_before = ctx.store.stats();
@@ -1875,79 +1561,73 @@ fn exec_dml(
     let t0 = Instant::now();
 
     // --- Match phase (parallel, read-only) -----------------------------
+    // The same batch scan SELECT runs, with a strictly boolean filter. SET
+    // items compile to one projection each (two for an in-place
+    // `ArrayUpdate`: offset and replacement).
+    let mut c = crate::batch::Compiler::new(&schema, ctx.vars);
+    let filter = where_clause.map(|w| c.expr(w));
+    let mut items = Vec::new();
+    for set in sets.iter_mut() {
+        match &set.plan {
+            SetPlan::Eval(e) => {
+                let value = c.expr(e);
+                // Only the escape node can yield a stored LOB reference;
+                // the own-chain check reads the target column's lane.
+                if matches!(value, BExpr::Row(_)) && schema.columns[set.col].ctype == ColType::Blob
+                {
+                    set.own_lane = Some(c.col_pos(set.col));
+                }
+                items.push(BItem::Proj(value));
+            }
+            SetPlan::ArrayPatch {
+                offset,
+                replacement,
+                ..
+            } => {
+                items.push(BItem::Proj(c.expr(offset)));
+                items.push(BItem::Proj(c.expr(replacement)));
+            }
+        }
+    }
+    let plan = c.finish(filter, Vec::new(), items);
     let parts = table.partition(ctx.store, ctx.dop.max(1))?;
-    let scan = ctx.store.begin_scan_for(ctx.query.clone());
-    let job = DmlJob {
+    let job = ScanJob {
         table: &table,
-        schema: &schema,
-        store: &*ctx.store,
-        scan: &scan,
-        where_clause,
-        sets: &sets,
-        kind,
+        plan: &plan,
+        batch_rows: ctx.batch_rows.max(1),
         udfs: ctx.udfs,
         vars: ctx.vars,
+        sink: Sink::Match { kind, sets: &sets },
     };
-    let job_ref = &job;
-    let hosting_ref: &HostingModel = ctx.hosting;
-    let parts_ref = &parts;
-    let worker_results: Vec<DmlWorker> = scoped_map_ranges(parts.len(), parts.len(), |r| {
-        r.map(|pi| dml_worker(job_ref, &parts_ref[pi], pi as u32, hosting_ref.fork()))
-            .collect::<Vec<DmlWorker>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let dop_used = parts.len();
-    drop(scan);
-
-    let mut rows_scanned = 0u64;
-    let mut scan_ios: Vec<ScanIo> = Vec::new();
-    let mut max_busy = 0.0f64;
-    let mut cpu_seconds = 0.0f64;
-    let mut first_err: Option<EngineError> = None;
+    let (totals, outs) = run_scan(ctx.store, ctx.hosting, &ctx.query, &parts, &job);
     // Concatenating in partition order yields matches in clustered-key
     // order, so the apply phase — and with it the WAL record stream — is
     // identical at every DOP.
     let mut matched: Vec<(i64, Vec<SetValue>)> = Vec::new();
-    for w in worker_results {
-        rows_scanned += w.rows_scanned;
-        scan_ios.push(w.scan_io);
-        ctx.hosting.absorb(w.calls, w.charged_ns);
-        // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
-        cpu_seconds += w.busy_seconds;
-        max_busy = max_busy.max(w.busy_seconds);
-        match w.out {
-            Ok(m) => matched.extend(m),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
+    match outs {
+        Ok(outs) => {
+            for out in outs {
+                match out {
+                    WorkerOut::Matched(m) => matched.extend(m),
+                    _ => return Err(plan_error("SELECT output from a DML match")),
                 }
             }
         }
-    }
-    ctx.store.finish_scan(scan_ios.iter());
-    if let Some(e) = first_err {
-        // A match-phase abort reports its partial measurements like an
-        // aborted SELECT. No page or WAL byte has changed yet, so
-        // `rows_affected` is honestly zero.
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let io = ctx.store.stats().since(&io_before);
-        let sim_io_seconds = ctx.store.profile().io_seconds(&io);
-        *ctx.partial = Some(QueryStats {
-            rows_scanned,
-            batches: 0,
-            batch_fill: 0.0,
-            udf_calls: ctx.hosting.calls(),
-            udf_overhead_ns: ctx.hosting.charged_ns(),
-            cpu_seconds,
-            wall_seconds,
-            dop: dop_used,
-            io,
-            sim_io_seconds,
-            rows_affected: 0,
-        });
-        return Err(e);
+        Err(e) => {
+            // A match-phase abort reports its partial measurements like an
+            // aborted SELECT. No page or WAL byte has changed yet, so
+            // `rows_affected` is honestly zero.
+            *ctx.partial = Some(query_stats(
+                ctx.store,
+                &io_before,
+                ctx.hosting,
+                &totals,
+                totals.cpu_seconds,
+                t0.elapsed().as_secs_f64(),
+                0,
+            ));
+            return Err(e);
+        }
     }
 
     // --- Apply phase (serial, key order) -------------------------------
@@ -2023,27 +1703,73 @@ fn exec_dml(
 
     let wall_seconds = t0.elapsed().as_secs_f64();
     // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
-    cpu_seconds += (wall_seconds - max_busy).max(0.0);
-    let io = ctx.store.stats().since(&io_before);
-    let sim_io_seconds = ctx.store.profile().io_seconds(&io);
+    let cpu_seconds = totals.cpu_seconds + (wall_seconds - totals.max_busy).max(0.0);
     Ok(QueryResult {
         columns: Vec::new(),
         rows: Vec::new(),
-        stats: QueryStats {
-            rows_scanned,
-            // DML match scans run row-at-a-time (the WAL byte stream, not
-            // scan throughput, dominates): no batches to report.
-            batches: 0,
-            batch_fill: 0.0,
-            udf_calls: ctx.hosting.calls(),
-            udf_overhead_ns: ctx.hosting.charged_ns(),
+        stats: query_stats(
+            ctx.store,
+            &io_before,
+            ctx.hosting,
+            &totals,
             cpu_seconds,
             wall_seconds,
-            dop: dop_used,
-            io,
-            sim_io_seconds,
             rows_affected,
-        },
+        ),
         assignments: Vec::new(),
     })
+}
+
+/// Collects `(key, SET values)` for every selected row of one batch, in
+/// row order.
+fn batch_match(
+    plan: &BatchPlan,
+    sets: &[SetItem],
+    cx: &mut Cx<'_, '_>,
+    sel: &[u32],
+    matched: &mut Vec<(i64, Vec<SetValue>)>,
+) -> Result<()> {
+    use crate::pushdown::resolve_lob_in_place;
+    let mut cols = eval_items(plan, cx, sel)?;
+    for (r, &row) in sel.iter().enumerate() {
+        // Items line up with SET items: one per `Eval`, two per patch.
+        let mut lanes = cols.iter_mut().map(|c| c.take(r));
+        let mut next = || lanes.next().ok_or_else(|| plan_error("SET arity mismatch"));
+        let mut vals = Vec::with_capacity(sets.len());
+        for set in sets {
+            match &set.plan {
+                SetPlan::Eval(_) => {
+                    let mut v = next()?;
+                    if let Value::Lob { id, .. } = v {
+                        // A reference to the target column's own chain
+                        // passes through (the apply phase keeps it); a
+                        // reference to any *other* chain is copied here,
+                        // while the worker's reader is live — two rows
+                        // must never share a chain, or freeing one
+                        // corrupts the other.
+                        let own = set.own_lane.is_some_and(|pos| {
+                            matches!(&cx.batch.cols[pos], ColVec::Blob { lob, .. }
+                                if matches!(lob[row as usize], Some((cid, _)) if cid == id))
+                        });
+                        if !own {
+                            resolve_lob_in_place(&mut v, cx.env)?;
+                        }
+                    }
+                    vals.push(SetValue::Plain(v));
+                }
+                SetPlan::ArrayPatch { .. } => {
+                    let mut offset = next()?;
+                    resolve_lob_in_place(&mut offset, cx.env)?;
+                    let mut replacement = next()?;
+                    resolve_lob_in_place(&mut replacement, cx.env)?;
+                    vals.push(SetValue::Patch {
+                        offset,
+                        replacement,
+                    });
+                }
+            }
+        }
+        matched.push((cx.batch.keys[row as usize], vals));
+    }
+    Ok(())
 }

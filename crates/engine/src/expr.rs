@@ -3,7 +3,8 @@
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
-use sqlarray_storage::{row, RowValue, Schema};
+use sqlarray_core::batch::{Batch, BytesVec, ColVec, LobRef};
+use sqlarray_storage::Schema;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,14 +115,47 @@ impl Expr {
     }
 }
 
-/// Everything an expression needs to evaluate against one row.
+/// Everything an expression needs to evaluate against one row: the row's
+/// lane in a decoded column batch.
 pub struct RowCtx<'a> {
     /// Schema of the scanned table.
     pub schema: &'a Schema,
-    /// Encoded row bytes (columns decode lazily).
-    pub bytes: &'a [u8],
-    /// Clustered key of the row.
-    pub key: i64,
+    /// Schema column index of each batch column, in batch-column order.
+    pub cols: &'a [usize],
+    /// The decoded batch holding the row.
+    pub batch: &'a Batch,
+    /// The row's position in the batch.
+    pub row: usize,
+}
+
+impl RowCtx<'_> {
+    /// The value of schema column `idx` in this row. Out-of-row blobs
+    /// surface as lazy [`Value::Lob`] references, resolved later by a
+    /// blob-aware consumer (the pushdown rewrite, the full-read fallback,
+    /// or the projection boundary) — never as placeholder strings.
+    fn col(&self, idx: usize, name: &str) -> Result<Value> {
+        let pos = self.cols.iter().position(|&c| c == idx).ok_or_else(|| {
+            EngineError::Type(format!("column `{name}` is not decoded by this scan"))
+        })?;
+        let i = self.row;
+        Ok(match &self.batch.cols[pos] {
+            ColVec::I64(v) => Value::I64(v[i]),
+            ColVec::I32(v) => Value::I32(v[i]),
+            ColVec::F64(v) => Value::F64(v[i]),
+            ColVec::F32(v) => Value::F32(v[i]),
+            ColVec::Bool(v) => Value::Bool(v[i]),
+            ColVec::Blob { bytes, lob } => blob_value(bytes, lob, i),
+        })
+    }
+}
+
+/// Row `i` of a blob lane: inline bytes are copied out, an out-of-row
+/// chain stays a lazy [`Value::Lob`] reference.
+pub(crate) fn blob_value(bytes: &BytesVec, lob: &[Option<LobRef>], i: usize) -> Value {
+    match lob[i] {
+        Some((id, len)) => Value::Lob { id, len },
+        None => Value::Bytes(bytes.get(i).to_vec()),
+    }
 }
 
 /// The evaluation environment: UDF registry, hosting model, variables,
@@ -172,8 +206,7 @@ pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Res
                 .schema
                 .col_index(name)
                 .ok_or_else(|| EngineError::Unknown(format!("column `{name}`")))?;
-            let v = row::decode_col(row.schema, row.bytes, idx)?;
-            Ok(resolve_row_value(v))
+            row.col(idx, name)
         }
         Expr::Func { name, args } => {
             let mut argv = Vec::with_capacity(args.len());
@@ -231,14 +264,6 @@ pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Res
             apply_bin(*op, l, r)
         }
     }
-}
-
-/// In-row data passes through; out-of-row LOB references surface as lazy
-/// [`Value::Lob`] values, resolved later by a blob-aware consumer (the
-/// pushdown rewrite, the full-read fallback, or the projection boundary)
-/// — never as placeholder strings.
-fn resolve_row_value(v: RowValue) -> Value {
-    Value::from(v)
 }
 
 fn apply_bin(op: BinOp, l: Value, r: Value) -> Result<Value> {
@@ -418,19 +443,18 @@ mod tests {
 
     #[test]
     fn column_eval_against_row() {
-        use sqlarray_storage::{ColType, PageStore};
+        use sqlarray_storage::ColType;
         let schema = Schema::new(&[("id", ColType::I64), ("x", ColType::F64)]);
-        let mut store = PageStore::new();
-        let bytes = sqlarray_storage::row::encode_row(
-            &mut store,
-            &schema,
-            &[RowValue::I64(7), RowValue::F64(1.25)],
-        )
-        .unwrap();
+        // Only `x` is decoded: batch column 0 holds schema column 1.
+        let batch = Batch {
+            keys: vec![7, 8],
+            cols: vec![ColVec::F64(vec![1.25, 2.5])],
+        };
         let row = RowCtx {
             schema: &schema,
-            bytes: &bytes,
-            key: 7,
+            cols: &[1],
+            batch: &batch,
+            row: 1,
         };
         let (reg, mut h, vars) = env_fixture();
         let mut env = EvalEnv {
@@ -440,11 +464,12 @@ mod tests {
             lobs: None,
         };
         assert_eq!(
-            eval(&Expr::Col("x".into()), Some(&row), &mut env).unwrap(),
-            Value::F64(1.25)
+            eval(&Expr::Col("X".into()), Some(&row), &mut env).unwrap(),
+            Value::F64(2.5)
         );
         assert!(eval(&Expr::Col("x".into()), None, &mut env).is_err());
         assert!(eval(&Expr::Col("nope".into()), Some(&row), &mut env).is_err());
+        assert!(eval(&Expr::Col("id".into()), Some(&row), &mut env).is_err());
     }
 
     #[test]

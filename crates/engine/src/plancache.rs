@@ -80,28 +80,20 @@ impl CachedPlan {
 #[derive(Default)]
 struct ReuseCounter(std::sync::atomic::AtomicU64);
 
-/// The compiled-`BatchPlan` slot of one SELECT statement.
-///
-/// `fill` state machine: `Empty` until the statement first executes with
-/// batching enabled; then either `Plan` (compiled) or `NoPlan` (the
-/// statement doesn't vectorize — also worth caching, so the fallback
-/// decision isn't re-derived every execution).
+/// The compiled-`BatchPlan` slot of one SELECT statement: empty until the
+/// statement first executes, then the compiled plan (every SELECT
+/// compiles — escape nodes cover what has no kernel).
 pub struct SelectSlot {
     cacheable: bool,
-    state: Mutex<SlotState>,
+    state: Mutex<Option<CompiledPlan>>,
     reuses: Arc<ReuseCounter>,
 }
 
-enum SlotState {
-    Empty,
-    NoPlan,
-    Plan {
-        plan: Arc<crate::batch::BatchPlan>,
-        /// The schema the plan was compiled against. Schemas are
-        /// immutable today; the check is the safety net for when they
-        /// stop being so.
-        schema: Schema,
-    },
+struct CompiledPlan {
+    plan: Arc<crate::batch::BatchPlan>,
+    /// The schema the plan was compiled against. Schemas are immutable
+    /// today; the check is the safety net for when they stop being so.
+    schema: Schema,
 }
 
 impl SelectSlot {
@@ -119,12 +111,12 @@ impl SelectSlot {
         };
         SelectSlot {
             cacheable,
-            state: Mutex::new(SlotState::Empty),
+            state: Mutex::new(None),
             reuses,
         }
     }
 
-    fn state(&self) -> MutexGuard<'_, SlotState> {
+    fn state(&self) -> MutexGuard<'_, Option<CompiledPlan>> {
         // Straight-line assignments and clones only under the guard; the
         // repo-wide recover-on-poison policy (sqlarray_core::sync) holds.
         sqlarray_core::sync::lock_unpoisoned(&self.state)
@@ -137,30 +129,26 @@ impl SelectSlot {
     pub(crate) fn plan_for(
         &self,
         schema: &Schema,
-        compile: impl FnOnce() -> Option<crate::batch::BatchPlan>,
-    ) -> Option<Arc<crate::batch::BatchPlan>> {
+        compile: impl FnOnce() -> crate::batch::BatchPlan,
+    ) -> Arc<crate::batch::BatchPlan> {
         if !self.cacheable {
-            return compile().map(Arc::new);
+            return Arc::new(compile());
         }
         let mut st = self.state();
         match &*st {
-            SlotState::Plan { plan, schema: s } if s == schema => {
+            Some(c) if c.schema == *schema => {
                 self.reuses
                     .0
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Some(Arc::clone(plan))
+                Arc::clone(&c.plan)
             }
-            SlotState::NoPlan => None,
             _ => {
-                let compiled = compile().map(Arc::new);
-                *st = match &compiled {
-                    Some(p) => SlotState::Plan {
-                        plan: Arc::clone(p),
-                        schema: schema.clone(),
-                    },
-                    None => SlotState::NoPlan,
-                };
-                compiled
+                let plan = Arc::new(compile());
+                *st = Some(CompiledPlan {
+                    plan: Arc::clone(&plan),
+                    schema: schema.clone(),
+                });
+                plan
             }
         }
     }

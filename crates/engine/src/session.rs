@@ -237,11 +237,12 @@ impl Default for Database {
 }
 
 /// The session default for rows per column batch: `SQLARRAY_BATCH_ROWS`
-/// when set and parseable (0 disables vectorized execution), otherwise
+/// when set and parseable (0 means one-row batches), otherwise
 /// [`sqlarray_core::batch::DEFAULT_BATCH_ROWS`].
 fn configured_batch_rows() -> usize {
     sqlarray_core::env_usize("SQLARRAY_BATCH_ROWS")
         .unwrap_or(sqlarray_core::batch::DEFAULT_BATCH_ROWS)
+        .max(1)
 }
 
 /// The session default statement timeout: `SQLARRAY_STATEMENT_TIMEOUT_MS`
@@ -292,8 +293,7 @@ pub struct Session {
     pub row_limit: usize,
     /// Maximum degree of parallelism for scans (≥ 1).
     dop: usize,
-    /// Target rows per column batch for vectorized scans; 0 runs every
-    /// query row-at-a-time.
+    /// Target rows per column batch of every scan (≥ 1).
     batch_rows: usize,
     vars: HashMap<String, Value>,
     /// The cancellation flag every statement of this session polls;
@@ -391,19 +391,19 @@ impl Session {
         self.dop = dop.max(1);
     }
 
-    /// The target rows per column batch for vectorized scans. Defaults to
+    /// The target rows per column batch of every scan (≥ 1). Defaults to
     /// the `SQLARRAY_BATCH_ROWS` environment variable when set, otherwise
-    /// [`sqlarray_core::batch::DEFAULT_BATCH_ROWS`]; 0 means batch
-    /// execution is disabled.
+    /// [`sqlarray_core::batch::DEFAULT_BATCH_ROWS`].
     pub fn batch_rows(&self) -> usize {
         self.batch_rows
     }
 
-    /// Sets the target rows per column batch. `set_batch_rows(0)` disables
-    /// the vectorized path entirely — every query runs the row-at-a-time
-    /// interpreter; results are bit-identical at every setting.
+    /// Sets the target rows per column batch (clamped to ≥ 1, so
+    /// `set_batch_rows(0)` means one-row batches). A size knob only: every
+    /// setting runs the same batch pipeline, and results are
+    /// bit-identical at every setting.
     pub fn set_batch_rows(&mut self, rows: usize) {
-        self.batch_rows = rows;
+        self.batch_rows = rows.max(1);
     }
 
     /// A cancellation handle for this session's statements. Clone-cheap
@@ -625,6 +625,7 @@ impl Session {
                         hosting: &mut self.hosting,
                         vars: &self.vars,
                         dop: ticket.granted(),
+                        batch_rows: self.batch_rows,
                         query: query.clone(),
                         partial: &mut self.last_partial,
                     };

@@ -123,6 +123,19 @@ pub enum RowValueRef<'a> {
     LobRef(BlobId, u64),
 }
 
+impl From<RowValueRef<'_>> for RowValue {
+    fn from(v: RowValueRef<'_>) -> RowValue {
+        match v {
+            RowValueRef::I64(x) => RowValue::I64(x),
+            RowValueRef::I32(x) => RowValue::I32(x),
+            RowValueRef::F64(x) => RowValue::F64(x),
+            RowValueRef::F32(x) => RowValue::F32(x),
+            RowValueRef::Bytes(b) => RowValue::Bytes(b.to_vec()),
+            RowValueRef::LobRef(id, len) => RowValue::LobRef(id, len),
+        }
+    }
+}
+
 // Value tags inside encoded blob columns.
 const BLOB_INLINE: u8 = 0;
 const BLOB_LOB: u8 = 1;
@@ -255,27 +268,14 @@ pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Vec<RowValue>> {
     Ok(out)
 }
 
-/// Decodes a single column without materializing the others (the scan
-/// projections of queries 3–5 touch exactly one column per row).
+/// Decodes a single column without materializing the others — the owned
+/// form of [`decode_col_ref`] (inline blob payloads are copied out).
 pub fn decode_col(schema: &Schema, bytes: &[u8], col_idx: usize) -> Result<RowValue> {
-    if col_idx >= schema.columns.len() {
-        return Err(StorageError::SchemaMismatch(format!(
-            "column index {col_idx} out of range"
-        )));
-    }
-    let mut off = 0usize;
-    for (i, col) in schema.columns.iter().enumerate() {
-        if i == col_idx {
-            let (v, _) = decode_value(col.ctype, bytes, off, &col.name)?;
-            return Ok(v);
-        }
-        off = skip_value(col.ctype, bytes, off, &col.name)?;
-    }
-    unreachable!("col_idx checked above")
+    decode_col_ref(schema, bytes, col_idx).map(RowValue::from)
 }
 
-/// Like [`decode_col`] but borrows inline blob payloads from the encoded
-/// row instead of copying them.
+/// Decodes a single column without materializing the others, borrowing
+/// inline blob payloads from the encoded row instead of copying them.
 pub fn decode_col_ref<'a>(
     schema: &Schema,
     bytes: &'a [u8],
@@ -457,15 +457,7 @@ fn need(bytes: &[u8], off: usize, n: usize, name: &str) -> Result<()> {
 
 fn decode_value(ctype: ColType, bytes: &[u8], off: usize, name: &str) -> Result<(RowValue, usize)> {
     let (v, next) = decode_value_ref(ctype, bytes, off, name)?;
-    let owned = match v {
-        RowValueRef::I64(x) => RowValue::I64(x),
-        RowValueRef::I32(x) => RowValue::I32(x),
-        RowValueRef::F64(x) => RowValue::F64(x),
-        RowValueRef::F32(x) => RowValue::F32(x),
-        RowValueRef::Bytes(b) => RowValue::Bytes(b.to_vec()),
-        RowValueRef::LobRef(id, len) => RowValue::LobRef(id, len),
-    };
-    Ok((owned, next))
+    Ok((RowValue::from(v), next))
 }
 
 fn decode_value_ref<'a>(

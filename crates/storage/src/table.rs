@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 /// One contiguous chunk of a clustered-index scan: a run of leaf pages in
 /// key order, produced by [`Table::partition`] and consumed by
-/// [`Table::scan_partition`]. Partitions of one table are disjoint and
+/// [`Table::scan_partition_batches`]. Partitions of one table are disjoint and
 /// concatenate (in production order) to the full leaf chain, so scanning
 /// them in order — serially or on parallel workers — visits exactly the
 /// rows of a full scan, in the same order.
@@ -40,8 +40,8 @@ pub struct BatchScanOpts<'a> {
     /// (clamped to ≥ 1), even mid-leaf.
     pub rows_cap: usize,
     /// Additionally flush at every leaf-page boundary, so callers that
-    /// resolve out-of-row LOB values per batch keep the page-read
-    /// interleaving identical to the row-at-a-time scan.
+    /// resolve out-of-row LOB values per batch read each leaf's LOB pages
+    /// right after that leaf, at any partitioning.
     pub leaf_aligned: bool,
 }
 
@@ -351,45 +351,16 @@ impl Table {
             .collect())
     }
 
-    /// Scans one partition through a worker's [`PartitionReader`]. `f`
-    /// sees `(reader, key, encoded row)` in key order, exactly like
-    /// [`scan_raw`](Self::scan_raw) restricted to the partition, and
-    /// returns `true` to keep scanning.
+    /// Scans one partition through a worker's [`PartitionReader`]: decodes
+    /// leaf records, in key order, straight into the column vectors of
+    /// `batch` (only the schema columns named by `cols`, in that order;
+    /// an empty `cols` yields key-only batches) and hands the filled
+    /// batch to `f`, which returns `true` to keep scanning.
     ///
     /// The reader is handed *into* the callback (leaf-page bytes borrow
-    /// the page file, not the reader) so a row visitor can resolve the
-    /// row's out-of-row LOB values through the same live-pool, snapshot-
-    /// classified read path as the leaf pages — interleaved exactly as a
-    /// serial scan would interleave them.
-    pub fn scan_partition(
-        &self,
-        reader: &mut PartitionReader<'_>,
-        part: &ScanPartition,
-        mut f: impl FnMut(&mut PartitionReader<'_>, i64, &[u8]) -> Result<bool>,
-    ) -> Result<()> {
-        for &pid in &part.leaves {
-            let bytes = reader.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            for i in 0..v.slot_count() {
-                let rec = v.record(i)?;
-                if rec.len() < 8 {
-                    return Err(StorageError::RowCorrupt(format!(
-                        "leaf record on page {pid} shorter than its 8-byte key"
-                    )));
-                }
-                let key = sqlarray_core::le::i64_at(rec, 0);
-                if !f(reader, key, &rec[8..])? {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batch variant of [`scan_partition`](Self::scan_partition): decodes
-    /// leaf records straight into the column vectors of `batch` (only the
-    /// schema columns named by `cols`, in that order) and hands the filled
-    /// batch to `f`, which returns `true` to keep scanning.
+    /// the page file, not the reader) so a batch consumer can resolve the
+    /// rows' out-of-row LOB values through the same live-pool, snapshot-
+    /// classified read path as the leaf pages.
     ///
     /// Batching amortizes the per-row schema walk and LE decoding and
     /// replaces the per-row callback with one call per ~`rows_cap` rows.
@@ -399,9 +370,9 @@ impl Table {
     /// *every* leaf boundary when `leaf_aligned` is set, which callers
     /// that resolve out-of-row LOB values per batch use to keep the
     /// page-read interleaving (leaf, then that leaf's LOB pages)
-    /// identical to the row-at-a-time scan at any DOP. (A mid-leaf flush
-    /// preserves that order too: the leaf page is already read, and the
-    /// flushed rows resolve in row order.) The same `batch` is reused
+    /// independent of how the leaf chain is partitioned: every batch lies
+    /// inside one leaf, and its flush points depend only on that leaf.
+    /// The same `batch` is reused
     /// across flushes, so column buffers are allocated once per
     /// partition, not per batch.
     pub fn scan_partition_batches(
@@ -653,6 +624,28 @@ mod tests {
         assert!(t.require_col("w").is_err());
     }
 
+    /// Keys of one partition in scan order, through a key-only batch scan.
+    fn partition_keys(t: &Table, r: &mut PartitionReader<'_>, p: &ScanPartition) -> Vec<i64> {
+        let mut batch = row::new_batch(t.schema(), &[]).unwrap();
+        let mut keys = Vec::new();
+        t.scan_partition_batches(
+            r,
+            p,
+            BatchScanOpts {
+                cols: &[],
+                rows_cap: 64,
+                leaf_aligned: false,
+            },
+            &mut batch,
+            |_, b| {
+                keys.extend_from_slice(&b.keys);
+                Ok(true)
+            },
+        )
+        .unwrap();
+        keys
+    }
+
     #[test]
     fn partitions_concatenate_to_the_full_scan() {
         let mut store = PageStore::new();
@@ -670,11 +663,7 @@ mod tests {
             let mut seen = Vec::new();
             for (pi, p) in parts.iter().enumerate() {
                 let mut r = store.reader(&scan, pi as u32);
-                t.scan_partition(&mut r, p, |_, k, _| {
-                    seen.push(k);
-                    Ok(true)
-                })
-                .unwrap();
+                seen.extend(partition_keys(&t, &mut r, p));
             }
             assert_eq!(seen, full, "dop {dop}");
         }
@@ -818,13 +807,7 @@ mod tests {
                 .map(|(pi, p)| {
                     s.spawn(move || {
                         let mut r = shared.reader(scan_ref, pi as u32);
-                        let mut keys = Vec::new();
-                        table
-                            .scan_partition(&mut r, p, |_, k, _| {
-                                keys.push(k);
-                                Ok(true)
-                            })
-                            .unwrap();
+                        let keys = partition_keys(table, &mut r, p);
                         (keys, r.finish())
                     })
                 })
@@ -858,7 +841,7 @@ mod tests {
         let mut ios = Vec::new();
         for (pi, p) in parts.iter().enumerate() {
             let mut r = store.reader(&scan, pi as u32);
-            t.scan_partition(&mut r, p, |_, _, _| Ok(true)).unwrap();
+            partition_keys(&t, &mut r, p);
             ios.push(r.finish());
         }
         drop(scan);
@@ -869,7 +852,7 @@ mod tests {
         let mut rescan = crate::stats::IoStats::default();
         for (pi, p) in parts.iter().enumerate() {
             let mut r = store.reader(&scan, pi as u32);
-            t.scan_partition(&mut r, p, |_, _, _| Ok(true)).unwrap();
+            partition_keys(&t, &mut r, p);
             rescan.merge(&r.finish().io);
         }
         assert_eq!(rescan.pages_read, 0);
@@ -884,15 +867,8 @@ mod tests {
         let parts = empty.partition(&store, 8).unwrap();
         assert_eq!(parts.len(), 1);
         let scan = store.begin_scan();
-        let mut n = 0;
         let mut r = store.reader(&scan, 0);
-        empty
-            .scan_partition(&mut r, &parts[0], |_, _, _| {
-                n += 1;
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!(n, 0);
+        assert!(partition_keys(&empty, &mut r, &parts[0]).is_empty());
         drop(r);
         drop(scan);
 
@@ -902,14 +878,8 @@ mod tests {
         let parts = one.partition(&store, 8).unwrap();
         assert_eq!(parts.len(), 1, "1 row < DOP collapses to one partition");
         let scan = store.begin_scan();
-        let mut keys = Vec::new();
         let mut r = store.reader(&scan, 0);
-        one.scan_partition(&mut r, &parts[0], |_, k, _| {
-            keys.push(k);
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(keys, vec![42]);
+        assert_eq!(partition_keys(&one, &mut r, &parts[0]), vec![42]);
     }
 
     fn sample_rows(n: i64, dim: usize) -> Vec<(i64, Vec<RowValue>)> {

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use sqlarray_storage::lru::LruSet;
 use sqlarray_storage::{
-    blob, row, BTree, ColType, DiskProfile, IoStats, PageStore, RowValue, ScanIo, Schema, Table,
+    blob, row, BTree, BatchScanOpts, ColType, DiskProfile, IoStats, PageStore, RowValue, ScanIo,
+    Schema, Table,
 };
 use std::collections::BTreeMap;
 
@@ -235,7 +236,13 @@ proptest! {
         let mut seen = Vec::new();
         for (pi, p) in parts.iter().enumerate() {
             let mut r = store.reader(&scan, pi as u32);
-            t.scan_partition(&mut r, p, |_, k, _| { seen.push(k); Ok(true) }).unwrap();
+            let mut batch = row::new_batch(t.schema(), &[]).unwrap();
+            let opts = BatchScanOpts { cols: &[], rows_cap: 1 + pi * 7, leaf_aligned: false };
+            t.scan_partition_batches(&mut r, p, opts, &mut batch, |_, b| {
+                seen.extend_from_slice(&b.keys);
+                Ok(true)
+            })
+            .unwrap();
         }
         prop_assert_eq!(seen, full);
 

@@ -3,7 +3,7 @@
 //! One shared engine must survive anything a statement does to it. These
 //! tests abort queries at **every** lifecycle checkpoint (enumerated by a
 //! dry run, then tripped one ordinal at a time) across DOP {1,2,4,8} and
-//! both execution paths (row-at-a-time and vectorized), and assert the
+//! batch sizes {1, 64}, and assert the
 //! engine stays fully usable afterwards: follow-up queries bit-identical
 //! to an undisturbed replay, WAL bytes and recovery images untouched, no
 //! scheduler-ticket or pool-accounting leaks. Around the matrix sit the
@@ -139,8 +139,8 @@ fn kill_matrix(batch_rows: usize) {
 }
 
 #[test]
-fn kill_matrix_row_path() {
-    kill_matrix(0);
+fn kill_matrix_one_row_batches() {
+    kill_matrix(1);
 }
 
 #[test]
@@ -252,11 +252,13 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
     let grouped = "SELECT id % 3, COUNT(*), SUM(tag) FROM T GROUP BY id % 3";
     let want = baseline_rows(ROWS, &[projection, grouped]);
 
-    // A 1-byte budget trips on the first real allocation — but a
-    // row-at-a-time projection allocates nothing the accountant tracks,
-    // so it must still pass: the budget meters memory, not progress.
-    s.set_query_mem_bytes(1);
-    s.set_batch_rows(0);
+    // A 256-byte budget holds the lanes of one-row batches (20 bytes per
+    // worker, charged once as a high-water mark) but no group state: a
+    // projection over one-row batches must pass however many rows it
+    // scans — the budget meters memory, not progress.
+    const BUDGET: u64 = 256;
+    s.set_query_mem_bytes(BUDGET);
+    s.set_batch_rows(1);
     let r = s.query(projection).unwrap();
     assert!(rows_bit_identical(&r.rows, &want[0]));
 
@@ -264,13 +266,13 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
     let err = s.query(grouped).unwrap_err();
     match err {
         EngineError::ResourceExhausted { used, limit } => {
-            assert_eq!(limit, 1);
+            assert_eq!(limit, BUDGET);
             assert!(used > limit);
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
 
-    // Batch lane growth charges on the vectorized path.
+    // Batch lane growth charges: 64-row lanes outgrow the budget.
     s.set_batch_rows(64);
     let err = s.query(projection).unwrap_err();
     assert!(
@@ -283,7 +285,7 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
     s.set_query_mem_bytes(64 << 20);
     let r = s.query(projection).unwrap();
     assert!(rows_bit_identical(&r.rows, &want[0]));
-    assert!(r.stats.batches > 0, "vectorized path did not engage");
+    assert!(r.stats.batches > 0, "the scan ran no batches");
     assert!(s.last_query_ctx().unwrap().mem_used() > 0);
     let r = s.query(grouped).unwrap();
     assert!(rows_bit_identical(&r.rows, &want[1]));
@@ -292,7 +294,7 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
 #[test]
 fn lob_materialization_is_charged_against_the_budget() {
     let mut s = Session::with_hosting(lob_db(16), HostingModel::free());
-    s.set_batch_rows(0);
+    s.set_batch_rows(1);
     let q = "SELECT SUM(dbo.EmptyFunction(v, 0)) FROM B";
     let want = s.query(q).unwrap().rows;
 
@@ -324,7 +326,7 @@ fn worker_panics_are_contained_at_every_dop_and_path() {
     let wal_before = engine.db().store.crash_image().wal;
 
     for dop in DOPS {
-        for batch_rows in [0usize, 64] {
+        for batch_rows in [1usize, 64] {
             let mut s = engine.session_with_hosting(HostingModel::free());
             s.set_dop(dop);
             s.set_batch_rows(batch_rows);
